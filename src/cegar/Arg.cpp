@@ -105,9 +105,9 @@ std::string Arg::verifyInvariants() const {
 //===----------------------------------------------------------------------===//
 
 ReachEngine::ReachEngine(const Program &P, const Precision &Pi,
-                         SmtSolver &Solver, const ReachOptions &Opts)
-    : P(P), TM(P.termManager()), Pi(Pi), Solver(Solver), Opts(Opts),
-      Ctx(TM), ExpandedAt(P.numLocations()), CoveredAt(P.numLocations()) {
+                         SmtSolver &Solver)
+    : P(P), TM(P.termManager()), Pi(Pi), Solver(Solver), Ctx(TM),
+      ExpandedAt(P.numLocations()), CoveredAt(P.numLocations()) {
   ArgNode Root;
   Root.Loc = P.entry();
   Root.St = ArgNode::State::Leaf;
@@ -335,16 +335,7 @@ void ReachEngine::rotateCovers(int NewCoverer) {
 
 ArgRunResult ReachEngine::run() {
   ArgRunResult Result;
-  // The budget is per resumption, mirroring the restart engine's per-wave
-  // semantics: the same --max-nodes value admits the same amount of work
-  // per reachability phase under either engine (the ARG engine just needs
-  // far less of it after the first phase).
-  uint64_t ExpandedAtEntry = Stats.NodesExpanded;
   while (!Worklist.empty()) {
-    if (Stats.NodesExpanded - ExpandedAtEntry >= Opts.MaxNodes) {
-      Result.Kind = ArgRunResult::Kind::NodeLimit;
-      return Result;
-    }
     if (resourceExhausted()) {
       // Unprocessed nodes stay queued; a later run() resumes exactly here.
       Result.Kind = ArgRunResult::Kind::ResourceOut;
@@ -409,6 +400,13 @@ ArgRunResult ReachEngine::run() {
       continue;
     }
 
+    if (!resourceCharge(ResourceKind::ArgExpansions)) {
+      // The leaf stays queued, labelled and uncovered: a resumed run
+      // picks it up exactly here.
+      enqueue(Id);
+      Result.Kind = ArgRunResult::Kind::ResourceOut;
+      return Result;
+    }
     for (int TransIdx : P.successorsOf(node(Id).Loc))
       makeShell(Id, TransIdx);
     ArgNode &N = node(Id);
@@ -418,8 +416,6 @@ ArgRunResult ReachEngine::run() {
     // The fresh expansion may be a strictly more general coverer than
     // what existing covered nodes at this location currently hold.
     rotateCovers(Id);
-    // Trip detection happens at the next loop head (the node is complete).
-    (void)resourceCharge(ResourceKind::ArgExpansions);
   }
   Result.Kind = ArgRunResult::Kind::Proof;
   return Result;
@@ -534,8 +530,8 @@ void ReachEngine::applyRefinement(const ArgRunResult &R) {
     refreshCovers();
   }
 
-  // Every expanded node that survived without relabelling is work the
-  // restart engine would redo from scratch.
+  // Every expanded node that survived without relabelling is work a
+  // from-scratch re-exploration would redo.
   uint64_t Relabelled = Stats.NodesLabelled - LabelsBefore;
   uint64_t ExpandedLive = 0;
   for (const ArgNode &N : Graph.Nodes)

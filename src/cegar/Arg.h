@@ -10,9 +10,9 @@
 /// alive across refinements, with graph-wide covering and subtree-scoped
 /// refinement.
 ///
-/// Where the legacy engine (cegar/AbstractReach.h) rebuilds its tree from
-/// scratch on every refinement, the ReachEngine here retains every node
-/// the new predicates cannot invalidate:
+/// Instead of rebuilding its tree from scratch on every refinement, the
+/// ReachEngine here retains every node the new predicates cannot
+/// invalidate:
 ///
 ///  * Nodes are created as unlabelled *shells* when their parent expands;
 ///    processing a shell checks the incoming edge's abstract feasibility
@@ -66,7 +66,6 @@
 #ifndef PATHINV_CEGAR_ARG_H
 #define PATHINV_CEGAR_ARG_H
 
-#include "cegar/AbstractReach.h"
 #include "cegar/PredicateMap.h"
 #include "program/PathFormula.h"
 #include "smt/SolverContext.h"
@@ -194,8 +193,8 @@ struct ArgStats {
   uint64_t NodesPruned = 0;
   uint64_t NodesReused = 0;       ///< Expanded nodes surviving a refinement
                                   ///< without relabelling (summed over
-                                  ///< refinements) — work a restart would
-                                  ///< redo from scratch.
+                                  ///< refinements) — work a from-scratch
+                                  ///< re-exploration would redo.
   uint64_t Reconciliations = 0;   ///< Stale paths refuted by replay outside
                                   ///< a refinement.
   uint64_t InfeasibleEdges = 0;
@@ -206,8 +205,8 @@ struct ArgRunResult {
   enum class Kind : uint8_t {
     Proof,          ///< Fixpoint reached without reaching the error node.
     Counterexample, ///< Abstract error path found.
-    NodeLimit,      ///< Cumulative expansion budget exhausted.
-    ResourceOut,    ///< The job's ResourceController tripped; the graph
+    ResourceOut,    ///< The job's ResourceController tripped (the
+                    ///< arg_expansions budget among others); the graph
                     ///< stays valid and run() may resume later.
   };
   Kind Kind = Kind::Proof;
@@ -226,10 +225,11 @@ public:
   /// \p Pi is read on every labelling, so refinements that grow it are
   /// visible to nodes created afterwards. \p Solver serves quantified or
   /// store-carrying queries the incremental context cannot take.
-  ReachEngine(const Program &P, const Precision &Pi, SmtSolver &Solver,
-              const ReachOptions &Opts = {});
+  ReachEngine(const Program &P, const Precision &Pi, SmtSolver &Solver);
 
-  /// Resumes exploration from the current frontier.
+  /// Resumes exploration from the current frontier. Every expansion
+  /// charges ResourceKind::ArgExpansions first; a refused charge leaves
+  /// the node queued and returns ResourceOut.
   ArgRunResult run();
 
   /// Subtree-scoped refinement: replays \p R's error path under the
@@ -314,16 +314,15 @@ private:
   TermManager &TM;
   const Precision &Pi;
   SmtSolver &Solver;
-  ReachOptions Opts;
   /// Long-lived incremental context: survives every refinement, so
   /// per-transition encodings and everything learned while exploring
   /// earlier waves keep paying off.
   smt::SolverContext Ctx;
   Arg Graph;
   /// Depth-ordered (shallowest first, then creation order): resumed
-  /// exploration keeps the restart engine's BFS property that a reported
-  /// counterexample is a shortest abstract error path, so the refiner
-  /// sees the same easy path programs a fresh re-exploration would find.
+  /// exploration keeps the BFS property that a reported counterexample is
+  /// a shortest abstract error path, so the refiner sees the same easy
+  /// path programs a fresh re-exploration would find.
   std::priority_queue<std::pair<int, int>, std::vector<std::pair<int, int>>,
                       std::greater<std::pair<int, int>>>
       Worklist;

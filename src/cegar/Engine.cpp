@@ -113,10 +113,9 @@ bool tryWholeProgramEscalation(const Program &P, SmtSolver &Solver,
 
 /// Phase 2 of the loop: decides the abstract counterexample's SSA path
 /// formula. On Sat — a real bug — fills the Unsafe verdict, the witness,
-/// and (optionally) its independent concrete replay, and returns true.
+/// and its independent concrete replay, and returns true.
 bool analyzeCounterexample(const Program &P, const Path &Cex,
-                           PathFormulaChecker &Checker,
-                           const EngineOptions &Opts, EngineResult &Result) {
+                           PathFormulaChecker &Checker, EngineResult &Result) {
   TermManager &TM = P.termManager();
   PathFormula PF = buildPathFormula(P, Cex);
   smt::CheckResult Feasibility = Checker.check(PF.formula(TM));
@@ -132,10 +131,8 @@ bool analyzeCounterexample(const Program &P, const Path &Cex,
     return false;
   Result.Verdict = EngineResult::Verdict::Unsafe;
   Result.Witness = Cex;
-  if (Opts.ValidateWitness) {
-    Result.Replay = replayFromModel(P, Cex, Feasibility.model().values());
-    Result.WitnessReplayed = Result.Replay.Feasible;
-  }
+  Result.Replay = replayFromModel(P, Cex, Feasibility.model().values());
+  Result.WitnessReplayed = Result.Replay.Feasible;
   return true;
 }
 
@@ -191,16 +188,13 @@ void syncReachStats(EngineStats &S, const ArgStats &A) {
 } // namespace
 
 /// All loop state lives here so a slice-paused run() resumes exactly
-/// where it stopped: the persistent ARG (or the restart iteration
-/// counter), the incremental path-formula checker, the grown precision
-/// (inside Result.Predicates, which ReachEngine references), and the
-/// escalation/iteration flags.
+/// where it stopped: the persistent ARG, the incremental path-formula
+/// checker, the grown precision (inside Result.Predicates, which the ARG
+/// references), and the escalation flag.
 struct CegarEngine::Impl {
   Impl(const Program &P, SmtSolver &Solver, const EngineOptions &Opts)
-      : P(P), Solver(Solver), Opts(Opts), PathChecker(P.termManager()) {
-    if (Opts.Reach.Mode != ReachMode::Restart)
-      Reach = std::make_unique<ReachEngine>(P, Result.Predicates, Solver,
-                                            Opts.Reach);
+      : P(P), Solver(Solver), Opts(Opts), PathChecker(P.termManager()),
+        Reach(P, Result.Predicates, Solver) {
     // One persistent synthesis learner per job: combo verdicts survive
     // across refinement-interval retries, whole-program escalations, and
     // slice-paused resumes (Opts is held by value, so the pointer stays
@@ -216,18 +210,16 @@ struct CegarEngine::Impl {
   /// Persistent accumulator; run() returns a copy. Result.Predicates is
   /// the live precision the ARG labels against.
   EngineResult Result;
-  std::unique_ptr<ReachEngine> Reach; ///< Null in ReachMode::Restart.
+  ReachEngine Reach;
   /// Persistent conflict-learning state of every synthesis search this
   /// job runs (whole-program probes included).
   SynthLearner Learner;
-  uint64_t Iter = 0;
   bool TriedWholeProgram = false;
   bool Done = false; ///< Terminal (not just slice-paused) outcome reached.
 
-  void runArg();
-  void runRestart();
-  void finishArg();
-  void exportArgCertificate();
+  void runLoop();
+  void finish();
+  void exportCertificate();
 };
 
 /// Reads an invariant-map certificate off the ARG proof and validates it
@@ -238,11 +230,11 @@ struct CegarEngine::Impl {
 /// results nondeterministically certificate-free. A map that fails either
 /// the read-off or the check is dropped — the verdict itself never
 /// depends on the certificate.
-void CegarEngine::Impl::exportArgCertificate() {
-  if (!Opts.ExportCertificate || Result.HasInvariants || !Reach)
+void CegarEngine::Impl::exportCertificate() {
+  if (Result.HasInvariants)
     return;
   InvariantMap Map;
-  if (!Reach->exportInvariantMap(Map))
+  if (!Reach.exportInvariantMap(Map))
     return;
   ResourceController Ungoverned;
   Ungoverned.start();
@@ -256,9 +248,9 @@ void CegarEngine::Impl::exportArgCertificate() {
 
 /// Folds the ARG/solver-context/path-checker counters into the result
 /// stats (all lifetime totals — safe to overwrite on every exit).
-void CegarEngine::Impl::finishArg() {
-  syncReachStats(Result.Stats, Reach->stats());
-  smt::ContextStats Ctx = Reach->context().stats();
+void CegarEngine::Impl::finish() {
+  syncReachStats(Result.Stats, Reach.stats());
+  smt::ContextStats Ctx = Reach.context().stats();
   Result.Stats.ReachContextChecks = Ctx.Checks;
   Result.Stats.ReachLearnedPurges = Ctx.LearnedPurges;
   Result.Stats.ReachClausesPurged = Ctx.ClausesPurged;
@@ -270,20 +262,16 @@ void CegarEngine::Impl::finishArg() {
   Result.Stats.FinalPredicates = Result.Predicates.totalPredicates();
 }
 
-/// The CEGAR loop over the persistent ARG (ReachMode::Arg): refinement
-/// prunes the pivot subtree and resumes instead of restarting.
-void CegarEngine::Impl::runArg() {
+/// The CEGAR loop over the persistent ARG: refinement prunes the pivot
+/// subtree and resumes instead of restarting.
+void CegarEngine::Impl::runLoop() {
   for (;;) {
     // Phase 1: resume abstract reachability on the persistent graph.
-    ArgRunResult Reached = Reach->run();
+    ArgRunResult Reached = Reach.run();
     if (Reached.Kind == ArgRunResult::Kind::Proof) {
       Result.Verdict = EngineResult::Verdict::Safe;
-      exportArgCertificate();
-      return finishArg();
-    }
-    if (Reached.Kind == ArgRunResult::Kind::NodeLimit) {
-      Result.Note = "abstract reachability node limit reached";
-      return finishArg();
+      exportCertificate();
+      return finish();
     }
     if (Reached.Kind == ArgRunResult::Kind::ResourceOut) {
       // The graph keeps its frontier queued; the verdict is Unknown with
@@ -291,29 +279,25 @@ void CegarEngine::Impl::runArg() {
       // Result.Predicates as the best-so-far invariant map. (On a slice
       // pause this is where the next run() call picks the job back up.)
       Result.Note = "resources exhausted during abstract reachability";
-      return finishArg();
+      return finish();
     }
 
     // Stale counterexamples (label computed before the precision grew at
     // a path location) are reconciled — pruned at the earliest stale node
     // and re-explored — not analyzed: the refiner only ever sees paths
     // that reflect the full current precision.
-    if (Reach->reconcileStalePath(Reached))
+    if (Reach.reconcileStalePath(Reached))
       continue;
 
     // Phase 2: counterexample analysis.
     const Path &Cex = Reached.ErrorPath;
-    if (analyzeCounterexample(P, Cex, PathChecker, Opts, Result))
-      return finishArg();
+    if (analyzeCounterexample(P, Cex, PathChecker, Result))
+      return finish();
 
     // Phase 3: refinement.
-    if (Iter == Opts.MaxRefinements) {
-      Result.Note = "refinement budget exhausted";
-      return finishArg();
-    }
     if (!resourceCharge(ResourceKind::Refinements)) {
       Result.Note = "resources exhausted before refinement";
-      return finishArg();
+      return finish();
     }
     RefineResult Refined = refine(P, Cex, Result.Predicates, Solver,
                                   Opts.Refiner, Opts.PathInv);
@@ -321,7 +305,7 @@ void CegarEngine::Impl::runArg() {
     Result.Stats.TemplateLevelsTried += Refined.TemplateLevelsTried;
     if (resourceExhausted()) {
       // Interrupted mid-refinement (slice pause or real exhaustion):
-      // report without consuming the iteration or the escalation ladder,
+      // report without counting the refinement or consuming the ladder,
       // so a resumed run retries this path with the full machinery. This
       // holds even when the cut-short synthesis made partial progress —
       // applying a half-grown precision can fail to refute the path
@@ -330,9 +314,8 @@ void CegarEngine::Impl::runArg() {
       // export a certificate). Any predicates already added are kept: the
       // precision grows monotonically and the retry only adds more.
       Result.Note = "resources exhausted during refinement";
-      return finishArg();
+      return finish();
     }
-    ++Iter;
     ++Result.Stats.Refinements;
     if (Refined.UsedFallback)
       ++Result.Stats.Fallbacks;
@@ -341,94 +324,18 @@ void CegarEngine::Impl::runArg() {
 
     if (tryWholeProgramEscalation(P, Solver, Opts, Refined,
                                   TriedWholeProgram, Result))
-      return finishArg();
+      return finish();
 
     if (!Refined.Progress) {
       Result.Note = "refinement made no progress";
-      return finishArg();
+      return finish();
     }
 
     // Subtree-scoped refinement: replay the path under the grown
     // precision and prune below the first edge it refutes; everything
     // the new predicates cannot invalidate survives.
-    Reach->applyRefinement(Reached);
+    Reach.applyRefinement(Reached);
   }
-}
-
-/// The legacy loop (ReachMode::Restart): every refinement throws the
-/// whole abstract reachability tree away and re-explores from scratch.
-void CegarEngine::Impl::runRestart() {
-  for (; Iter <= Opts.MaxRefinements; ++Iter) {
-    // Phase 1: abstract reachability.
-    ReachResult Reach =
-        abstractReach(P, Result.Predicates, Solver, Opts.Reach);
-    Result.Stats.NodesExpanded += Reach.NodesExpanded;
-    Result.Stats.EntailmentQueries += Reach.EntailmentQueries;
-    Result.Stats.AssumptionQueries += Reach.AssumptionQueries;
-    Result.Stats.ModelFilteredQueries += Reach.ModelFilteredQueries;
-    Result.Stats.FinalPredicates = Result.Predicates.totalPredicates();
-
-    if (Reach.Kind == ReachResult::Kind::Proof) {
-      Result.Verdict = EngineResult::Verdict::Safe;
-      return;
-    }
-    if (Reach.Kind == ReachResult::Kind::NodeLimit) {
-      Result.Note = "abstract reachability node limit reached";
-      return;
-    }
-    if (Reach.Kind == ReachResult::Kind::ResourceOut) {
-      Result.Note = "resources exhausted during abstract reachability";
-      return;
-    }
-
-    // Phase 2: counterexample analysis. The path formula's common prefix
-    // with the previous iteration's path stays asserted in the checker's
-    // context; only the divergent suffix is re-asserted.
-    const Path &Cex = Reach.ErrorPath;
-    bool Feasible = analyzeCounterexample(P, Cex, PathChecker, Opts, Result);
-    Result.Stats.PathConjunctsReused = PathChecker.reusedConjuncts();
-    Result.Stats.PathConjunctsAsserted = PathChecker.assertedConjuncts();
-    if (Feasible)
-      return;
-
-    // Phase 3: refinement.
-    if (Iter == Opts.MaxRefinements)
-      break; // Budget spent; report below.
-    if (!resourceCharge(ResourceKind::Refinements)) {
-      Result.Note = "resources exhausted before refinement";
-      return;
-    }
-    RefineResult Refined = refine(P, Cex, Result.Predicates, Solver,
-                                  Opts.Refiner, Opts.PathInv);
-    Result.Stats.LpChecks += Refined.LpChecks;
-    Result.Stats.TemplateLevelsTried += Refined.TemplateLevelsTried;
-    if (resourceExhausted()) {
-      // Interrupted mid-refinement (even with partial progress): keep the
-      // iteration and escalation ladder unconsumed so a resumed run
-      // retries this path under a full budget.
-      Result.Note = "resources exhausted during refinement";
-      return;
-    }
-    ++Result.Stats.Refinements;
-    if (Refined.UsedFallback)
-      ++Result.Stats.Fallbacks;
-
-    escalateBudgetedRefinement(P, Cex, Solver, Opts, Refined, Result);
-
-    if (tryWholeProgramEscalation(P, Solver, Opts, Refined,
-                                  TriedWholeProgram, Result)) {
-      Result.Stats.FinalPredicates = Result.Predicates.totalPredicates();
-      return;
-    }
-
-    if (!Refined.Progress) {
-      Result.Note = "refinement made no progress";
-      return;
-    }
-  }
-
-  Result.Note = "refinement budget exhausted";
-  Result.Stats.FinalPredicates = Result.Predicates.totalPredicates();
 }
 
 CegarEngine::CegarEngine(const Program &P, SmtSolver &Solver,
@@ -444,10 +351,7 @@ EngineResult CegarEngine::run() {
   // must not leak into the continued job's outcome.
   I->Result.Note.clear();
   I->Result.UnknownReason.clear();
-  if (I->Opts.Reach.Mode == ReachMode::Restart)
-    I->runRestart();
-  else
-    I->runArg();
+  I->runLoop();
   ResourceController *RC = ResourceController::active();
   bool Paused = I->Result.Verdict == EngineResult::Verdict::Unknown && RC &&
                 RC->slicePaused();

@@ -10,11 +10,9 @@
 /// concrete replay of real bugs), and abstraction refinement through one
 /// of the pluggable strategies. Iterates until proof, bug, or budget.
 ///
-/// Two reachability backends (ReachOptions::Mode): the default drives the
-/// persistent abstract reachability graph of cegar/Arg.h — nodes survive
-/// refinements, refinement prunes only the pivot subtree, and covering is
-/// graph-wide — while ReachMode::Restart keeps the legacy
-/// restart-the-world tree as a differential oracle for one release.
+/// Abstract reachability runs on the persistent abstract reachability
+/// graph of cegar/Arg.h: nodes survive refinements, refinement prunes only
+/// the pivot subtree, and covering is graph-wide.
 ///
 /// EngineOptions/EngineStats/EngineResult live in core/Engine.h, shared
 /// with the PDR backend; this header adds the CEGAR implementation of the

@@ -121,6 +121,9 @@ bool runWholeProgramProbe(const Program &P, SmtSolver &Solver,
   return true;
 }
 
+/// The first portfolio round's slice length; later rounds double it.
+constexpr double FirstSliceSeconds = 0.05;
+
 /// Time-sliced round-robin race of CEGAR vs PDR. The first lane to
 /// return a definitive verdict wins and the loser is sticky-cancelled;
 /// a lane that returns Unknown without being slice-paused is genuinely
@@ -156,8 +159,8 @@ EngineResult runPortfolio(const Program &P, SmtSolver &Solver,
   // atomic under the controller (a single refinement synthesis, say) can
   // exceed any fixed cap, and a capped slice would then redo that step
   // every round forever.
-  double Slice = std::max(0.001, Opts.PortfolioSliceSeconds);
-  bool ProbePending = Opts.PortfolioProbe;
+  double Slice = FirstSliceSeconds;
+  bool ProbePending = true;
 
   for (;;) {
     for (Lane *L : {&Cegar, &Pdr}) {

@@ -27,7 +27,6 @@
 #ifndef PATHINV_CORE_ENGINE_H
 #define PATHINV_CORE_ENGINE_H
 
-#include "cegar/AbstractReach.h"
 #include "cegar/Refiner.h"
 #include "core/Resource.h"
 #include "interp/Interpreter.h"
@@ -54,38 +53,29 @@ bool parseEngineKind(const std::string &Name, EngineKind &Out);
 /// Engine configuration (shared across backends; CEGAR-specific knobs are
 /// ignored by PDR and vice versa).
 struct EngineOptions {
+  /// The refinement rounds and ARG expansions a job may spend unless its
+  /// caller sets Limits itself. They live here, not as ResourceLimits
+  /// field defaults, because a zero ResourceLimits field means unlimited
+  /// and pathinvd fills a request's zero fields from its own defaults.
+  static constexpr uint64_t DefaultRefinements = 40;
+  static constexpr uint64_t DefaultArgExpansions = 50000;
+
+  EngineOptions() {
+    Limits.Refinements = DefaultRefinements;
+    Limits.ArgExpansions = DefaultArgExpansions;
+  }
+
   /// Which backend runs the job (or Portfolio to race them).
   EngineKind Engine = EngineKind::Cegar;
   RefinerKind Refiner = RefinerKind::PathInvariant;
-  uint64_t MaxRefinements = 40;
-  ReachOptions Reach;
   PathInvOptions PathInv;
-  /// Replay bug witnesses concretely before reporting Unsafe.
-  bool ValidateWitness = true;
-  /// Export a checkable invariant-map certificate from CEGAR ARG proofs
-  /// (PDR fixpoints and whole-program escalations always carry one). The
-  /// map is read off the proof graph and independently validated with
-  /// checkInvariantMap before it is attached; when the read-off or the
-  /// validation fails the Safe verdict stands without a certificate.
-  bool ExportCertificate = true;
-  /// Portfolio round-robin slice length for the first round; later rounds
-  /// double it without bound so short jobs interleave finely while long
-  /// jobs amortize the switch cost (and no atomic engine step can outgrow
-  /// every slice and livelock).
-  double PortfolioSliceSeconds = 0.05;
-  /// After the first portfolio round, run one shared whole-program
-  /// invariant synthesis probe before resuming the race. Both backends
-  /// escalate to this exact generation individually; hoisting it into the
-  /// portfolio runs it once, unsliced, instead of letting each lane grind
-  /// the same search at half speed. Disable to race the bare engines.
-  bool PortfolioProbe = true;
   /// Resource governance: wall-clock deadline, memory ceiling, per-layer
-  /// step budgets. All zero (the default) means unlimited. Exhaustion
-  /// surfaces as Verdict::Unknown with EngineResult::UnknownReason set —
-  /// never as a wrong verdict, a crash, or an unusable solver. In
-  /// portfolio mode each lane gets its own controller carrying the full
-  /// job limits (the wall deadline is shared in real time because the
-  /// lanes interleave on one thread).
+  /// step budgets; a zero field is unlimited. Exhaustion surfaces as
+  /// Verdict::Unknown with EngineResult::UnknownReason set — never as a
+  /// wrong verdict, a crash, or an unusable solver. In portfolio mode
+  /// each lane gets its own controller carrying the full job limits (the
+  /// wall deadline is shared in real time because the lanes interleave on
+  /// one thread).
   ResourceLimits Limits;
 };
 
@@ -100,9 +90,9 @@ struct EngineStats {
   /// Entailment queries skipped outright because the post-image's
   /// feasibility model already witnessed the answer.
   uint64_t ModelFilteredQueries = 0;
-  // ARG engine only: incremental reuse vs. fresh work at the engine level.
+  // CEGAR only: incremental reuse vs. fresh work at the engine level.
   /// Expanded nodes retained across refinements (summed per refinement) —
-  /// exploration the restart engine would redo.
+  /// exploration a from-scratch re-exploration would redo.
   uint64_t NodesReused = 0;
   /// Nodes removed by subtree-scoped pruning (refinements and stale-path
   /// reconciliations).
@@ -120,7 +110,7 @@ struct EngineStats {
   /// same location (one assumption-flip group per location/post pair per
   /// precision state) — settle sweeps and converged loop unrollings.
   uint64_t RelabelsBatched = 0;
-  // ARG engine only: the run-lifetime solver context behind reachability
+  // CEGAR only: the run-lifetime solver context behind reachability
   // (its checks, and the learned-clause garbage collection keeping it
   // bounded). The facade solver's stats live in Verifier::solverStats().
   uint64_t ReachContextChecks = 0;

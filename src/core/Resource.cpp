@@ -8,7 +8,20 @@
 
 #include "support/FaultInject.h"
 
+#include <cstdlib>
+
 using namespace pathinv;
+
+namespace {
+constexpr bool stepBudgetsInKindOrder() {
+  for (size_t I = 0; I < NumStepBudgets; ++I)
+    if (stepIndex(StepBudgets[I].Kind) != I)
+      return false;
+  return true;
+}
+} // namespace
+static_assert(stepBudgetsInKindOrder(),
+              "StepBudgets must list the step kinds in ResourceKind order");
 
 const char *pathinv::resourceReasonName(ResourceKind Kind) {
   switch (Kind) {
@@ -16,29 +29,54 @@ const char *pathinv::resourceReasonName(ResourceKind Kind) {
     return "deadline";
   case ResourceKind::Memory:
     return "memory";
-  case ResourceKind::SatConflicts:
-    return "sat_conflicts";
-  case ResourceKind::Pivots:
-    return "pivots";
-  case ResourceKind::BnbNodes:
-    return "bnb_nodes";
-  case ResourceKind::SynthCombos:
-    return "synth_combos";
-  case ResourceKind::ArgExpansions:
-    return "arg_expansions";
-  case ResourceKind::Refinements:
-    return "refinements";
-  case ResourceKind::PdrObligations:
-    return "pdr_obligations";
   case ResourceKind::Cancelled:
     return "cancelled";
+  default:
+    return StepBudgets[stepIndex(Kind)].Name;
   }
-  return "unknown";
+}
+
+const StepBudget *pathinv::findStepBudget(std::string_view Name) {
+  for (const StepBudget &B : StepBudgets)
+    if (Name == B.Name)
+      return &B;
+  return nullptr;
+}
+
+bool pathinv::parseStepBudgets(std::string_view Spec, ResourceLimits &Limits,
+                               std::string &Error) {
+  while (!Spec.empty()) {
+    size_t Comma = Spec.find(',');
+    std::string_view Pair = Spec.substr(0, Comma);
+    Spec = Comma == std::string_view::npos ? "" : Spec.substr(Comma + 1);
+    size_t Eq = Pair.find('=');
+    std::string Count(Eq == std::string_view::npos ? "" : Pair.substr(Eq + 1));
+    char *End = nullptr;
+    unsigned long long Value = std::strtoull(Count.c_str(), &End, 10);
+    if (Count.empty() || *End != '\0' || Count[0] == '-') {
+      Error = "malformed budget '" + std::string(Pair) + "' (want key=count)";
+      return false;
+    }
+    std::string_view Key = Pair.substr(0, Eq);
+    const StepBudget *B = findStepBudget(Key);
+    if (!B) {
+      Error = "unknown budget key '" + std::string(Key) + "'";
+      return false;
+    }
+    Limits.*B->Limit = Value;
+  }
+  return true;
 }
 
 namespace {
 thread_local ResourceController *ActiveController = nullptr;
 } // namespace
+
+ResourceController::ResourceController(const ResourceLimits &Limits)
+    : Limits(Limits) {
+  for (const StepBudget &B : StepBudgets)
+    Caps[stepIndex(B.Kind)] = Limits.*B.Limit ? Limits.*B.Limit : UINT64_MAX;
+}
 
 ResourceController *ResourceController::active() { return ActiveController; }
 
@@ -84,83 +122,14 @@ void ResourceController::endSlice() {
   }
 }
 
-void ResourceController::bump(ResourceKind Kind, uint64_t Delta) {
-  switch (Kind) {
-  case ResourceKind::SatConflicts:
-    Used.SatConflicts += Delta;
-    break;
-  case ResourceKind::Pivots:
-    Used.Pivots += Delta;
-    break;
-  case ResourceKind::BnbNodes:
-    Used.BnbNodes += Delta;
-    break;
-  case ResourceKind::SynthCombos:
-    Used.SynthCombos += Delta;
-    break;
-  case ResourceKind::ArgExpansions:
-    Used.ArgExpansions += Delta;
-    break;
-  case ResourceKind::Refinements:
-    Used.Refinements += Delta;
-    break;
-  case ResourceKind::PdrObligations:
-    Used.PdrObligations += Delta;
-    break;
-  default:
-    break; // Deadline/Memory/Cancelled are polled, not stepped.
-  }
-}
-
-bool ResourceController::checkBudget(ResourceKind Kind) {
-  uint64_t Limit = 0, Spent = 0;
-  switch (Kind) {
-  case ResourceKind::SatConflicts:
-    Limit = Limits.SatConflicts;
-    Spent = Used.SatConflicts;
-    break;
-  case ResourceKind::Pivots:
-    Limit = Limits.Pivots;
-    Spent = Used.Pivots;
-    break;
-  case ResourceKind::BnbNodes:
-    Limit = Limits.BnbNodes;
-    Spent = Used.BnbNodes;
-    break;
-  case ResourceKind::SynthCombos:
-    Limit = Limits.SynthCombos;
-    Spent = Used.SynthCombos;
-    break;
-  case ResourceKind::ArgExpansions:
-    Limit = Limits.ArgExpansions;
-    Spent = Used.ArgExpansions;
-    break;
-  case ResourceKind::Refinements:
-    Limit = Limits.Refinements;
-    Spent = Used.Refinements;
-    break;
-  case ResourceKind::PdrObligations:
-    Limit = Limits.PdrObligations;
-    Spent = Used.PdrObligations;
-    break;
-  default:
-    return true;
-  }
-  if (Limit != 0 && Spent >= Limit) {
-    cancel(Kind);
-    return false;
-  }
-  return true;
-}
-
 bool ResourceController::pollNow() {
   ChargesSincePoll = 0;
   if (Tripped)
     return false;
   // External cancellation (the one cross-thread channel; see
-  // ResourceLimits::CancelFlag) outranks every other cause: the
-  // supervisor asking for the job's death must not lose the race to a
-  // budget trip reporting a softer reason.
+  // ResourceLimits::CancelFlag) outranks every other cause polled here:
+  // the supervisor asking for the job's death must not be reported as a
+  // deadline or memory trip.
   if (Limits.CancelFlag &&
       Limits.CancelFlag->load(std::memory_order_relaxed)) {
     cancel(ResourceKind::Cancelled);
@@ -193,15 +162,6 @@ bool ResourceController::pollNow() {
       return false;
     }
   }
-  // Re-check every step budget so a large amortized batch cannot overshoot
-  // a limit by more than one poll interval.
-  for (ResourceKind K :
-       {ResourceKind::SatConflicts, ResourceKind::Pivots,
-        ResourceKind::BnbNodes, ResourceKind::SynthCombos,
-        ResourceKind::ArgExpansions, ResourceKind::Refinements,
-        ResourceKind::PdrObligations})
-    if (!checkBudget(K))
-      return false;
   // The portfolio slice deadline is checked last: every real limit takes
   // precedence, so a pause is only reported when the job could otherwise
   // continue.

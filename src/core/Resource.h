@@ -31,9 +31,13 @@
 #define PATHINV_CORE_RESOURCE_H
 
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <string>
+#include <string_view>
 
 namespace pathinv {
 
@@ -75,16 +79,8 @@ struct ResourceLimits {
   /// in-flight jobs this way. The flag is polled, never written, by the
   /// controller; it propagates into every controller constructed from
   /// these limits (portfolio lanes, the shared synthesis probe), so one
-  /// store cancels the whole job tree. Not a "limit": ignored by
-  /// unlimited().
+  /// store cancels the whole job tree.
   const std::atomic<bool> *CancelFlag = nullptr;
-
-  /// \returns true when every field is zero (nothing to enforce).
-  bool unlimited() const {
-    return TimeoutSeconds == 0 && MemoryBytes == 0 && SatConflicts == 0 &&
-           Pivots == 0 && BnbNodes == 0 && SynthCombos == 0 &&
-           ArgExpansions == 0 && Refinements == 0 && PdrObligations == 0;
-  }
 };
 
 /// Step counters mirroring the budget fields; filled by spent().
@@ -98,32 +94,87 @@ struct ResourceSpent {
   uint64_t PdrObligations = 0;
 };
 
+/// One step budget: its name (the `--budgets` key, the service request's
+/// "budgets" key, and the Unknown reason when it trips), its kind, and
+/// the ResourceLimits / ResourceSpent fields that hold it.
+struct StepBudget {
+  const char *Name;
+  ResourceKind Kind;
+  uint64_t ResourceLimits::*Limit;
+  uint64_t ResourceSpent::*Spent;
+};
+
+/// The seven step budgets, in ResourceKind order. Every place that maps a
+/// budget name to its fields iterates this table.
+inline constexpr StepBudget StepBudgets[] = {
+    {"sat_conflicts", ResourceKind::SatConflicts,
+     &ResourceLimits::SatConflicts, &ResourceSpent::SatConflicts},
+    {"pivots", ResourceKind::Pivots, &ResourceLimits::Pivots,
+     &ResourceSpent::Pivots},
+    {"bnb_nodes", ResourceKind::BnbNodes, &ResourceLimits::BnbNodes,
+     &ResourceSpent::BnbNodes},
+    {"synth_combos", ResourceKind::SynthCombos, &ResourceLimits::SynthCombos,
+     &ResourceSpent::SynthCombos},
+    {"arg_expansions", ResourceKind::ArgExpansions,
+     &ResourceLimits::ArgExpansions, &ResourceSpent::ArgExpansions},
+    {"refinements", ResourceKind::Refinements, &ResourceLimits::Refinements,
+     &ResourceSpent::Refinements},
+    {"pdr_obligations", ResourceKind::PdrObligations,
+     &ResourceLimits::PdrObligations, &ResourceSpent::PdrObligations},
+};
+inline constexpr size_t NumStepBudgets = std::size(StepBudgets);
+
+/// The StepBudgets index of the step kind \p Kind.
+constexpr size_t stepIndex(ResourceKind Kind) {
+  return static_cast<size_t>(Kind) -
+         static_cast<size_t>(ResourceKind::SatConflicts);
+}
+
+/// \returns the step budget named \p Name, or nullptr.
+const StepBudget *findStepBudget(std::string_view Name);
+
+/// Parses a comma-separated list of `name=count` step budgets into
+/// \p Limits. \returns false, with \p Error set, on an unknown name or a
+/// malformed count.
+bool parseStepBudgets(std::string_view Spec, ResourceLimits &Limits,
+                      std::string &Error);
+
 /// Cooperative, sticky resource controller. Not thread-safe: one controller
 /// governs one job on one thread (install with ResourceScope).
 class ResourceController {
 public:
-  explicit ResourceController(const ResourceLimits &Limits = {})
-      : Limits(Limits) {}
+  explicit ResourceController(const ResourceLimits &Limits = {});
 
   /// Arms the wall-clock deadline relative to now. Charges before start()
   /// enforce step budgets but not the deadline.
   void start();
 
-  /// Charges \p Delta steps of \p Kind. \returns true to proceed, false
-  /// when a limit has tripped (now or earlier). Amortizes the deadline /
-  /// memory / fault-injection poll to every PollInterval-th call, so the
-  /// per-step cost is a counter bump and a branch.
+  /// Charges \p Delta steps of the step kind \p Kind before they run. A
+  /// budget of N admits exactly N steps: \returns true to proceed, false
+  /// when the charge would exceed the budget (which trips the controller
+  /// with \p Kind as its reason) or any limit has tripped. A refused
+  /// charge is not counted, so spent() reports the steps that ran.
+  /// Amortizes the deadline / memory / fault-injection poll to every
+  /// PollInterval-th call, so the per-step cost is a counter bump and a
+  /// comparison.
   bool charge(ResourceKind Kind, uint64_t Delta = 1) {
     if (Tripped)
       return false;
-    bump(Kind, Delta);
-    if (++ChargesSincePoll >= PollInterval)
-      return pollNow();
-    return checkBudget(Kind);
+    const size_t I = stepIndex(Kind);
+    assert(I < NumStepBudgets && "charge() takes a step kind");
+    uint64_t &Spent = Used.*StepBudgets[I].Spent;
+    if (Caps[I] - Spent < Delta) {
+      cancel(Kind);
+      return false;
+    }
+    if (++ChargesSincePoll >= PollInterval && !pollNow())
+      return false;
+    Spent += Delta;
+    return true;
   }
 
-  /// Unamortized poll: deadline, memory probe, injected faults, budgets.
-  /// \returns true to proceed.
+  /// Unamortized poll: cancellation flag, injected faults, deadline,
+  /// memory probe, slice deadline. \returns true to proceed.
   bool pollNow();
 
   /// Trips the controller with \p Reason (first reason wins). Safe to call
@@ -173,10 +224,10 @@ private:
   friend class ResourceScope;
   static void setActive(ResourceController *RC);
 
-  void bump(ResourceKind Kind, uint64_t Delta);
-  bool checkBudget(ResourceKind Kind);
-
   ResourceLimits Limits;
+  /// Limits' step budgets by StepBudgets index, unlimited (0) as
+  /// UINT64_MAX, so a charge needs one comparison.
+  uint64_t Caps[NumStepBudgets] = {};
   ResourceSpent Used;
   std::function<uint64_t()> MemoryProbe;
   std::chrono::steady_clock::time_point Deadline{};

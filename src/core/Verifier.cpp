@@ -107,8 +107,8 @@ std::string pathinv::formatResult(const Program &, const EngineResult &R) {
     Out += "\n  unknown reason:     " + R.UnknownReason;
   Out += "\n  refinements:        " + std::to_string(R.Stats.Refinements);
   Out += "\n  nodes expanded:     " + std::to_string(R.Stats.NodesExpanded);
-  // The ARG engine's reuse/covering/context counters; the restart engine
-  // has no persistent graph, so the lines would be meaningless zeros.
+  // The ARG's reuse/covering/context counters; PDR builds no ARG, so for
+  // it the lines would be meaningless zeros.
   if (R.Stats.ReachContextChecks != 0 || R.Stats.CoverChecks != 0 ||
       R.Stats.NodesReused != 0 || R.Stats.NodesPruned != 0) {
     Out += "\n  nodes reused:       " + std::to_string(R.Stats.NodesReused) +
@@ -162,14 +162,11 @@ std::string pathinv::formatResult(const Program &, const EngineResult &R) {
   // Resource governance: what the run actually spent against its budgets.
   // Printed even on exhaustion — these are the partial stats the resource
   // model promises alongside an Unknown verdict.
-  const ResourceSpent &RS = R.Stats.Resources;
-  Out += "\n  resources spent:    " + std::to_string(RS.SatConflicts) +
-         " conflicts, " + std::to_string(RS.Pivots) + " pivots, " +
-         std::to_string(RS.BnbNodes) + " b&b nodes, " +
-         std::to_string(RS.SynthCombos) + " synth combos";
-  Out += "\n                      " + std::to_string(RS.ArgExpansions) +
-         " expansions, " + std::to_string(RS.Refinements) +
-         " refinements, peak memory " +
+  Out += "\n  resources spent:   ";
+  for (const StepBudget &B : StepBudgets)
+    Out += " " + std::string(B.Name) + "=" +
+           std::to_string(R.Stats.Resources.*B.Spent);
+  Out += "\n  peak memory:        " +
          std::to_string(R.Stats.PeakMemoryBytes / 1024) + " KiB";
   if (R.Stats.EscalationRetries != 0)
     Out += "\n  escalation retries: " +

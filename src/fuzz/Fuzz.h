@@ -135,7 +135,7 @@ std::string minimizeProgram(const std::string &Source,
                             const FailurePredicate &Fails,
                             int MaxRounds = 48);
 
-/// Fixed-seed sweep driver shared by the CLI, bench harness, and tests.
+/// Fixed-seed sweep driver shared by the CLI and tests.
 struct SweepOptions {
   uint64_t FirstSeed = 1;
   int Count = 200;

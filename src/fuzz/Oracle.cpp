@@ -29,7 +29,6 @@ void runOneEngine(EngineKind Kind, uint64_t Seed, bool ExpectSafe,
                   OracleReport &Rep) {
   EngineOptions EO;
   EO.Engine = Kind;
-  EO.ValidateWitness = true;
   EO.Limits = Opts.Budget;
   Verifier V(EO);
   std::string Tag = std::string(engineKindName(Kind)) + " @ seed " +

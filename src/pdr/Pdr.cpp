@@ -84,7 +84,6 @@ struct PdrEngine::Impl {
   std::set<std::tuple<size_t, uint64_t, int>> Queue;
   uint64_t Seq = 0;
 
-  uint64_t Iter = 0; ///< Refinement rounds (vs Opts.MaxRefinements).
   bool TriedWholeProgram = false;
   bool Done = false; ///< Terminal (not just slice-paused) outcome.
 
@@ -204,11 +203,11 @@ Step PdrEngine::Impl::processNext() {
   int NodeIdx = std::get<2>(*It);
   Queue.erase(It);
 
-  ++Result.Stats.PdrObligations;
   if (!resourceCharge(ResourceKind::PdrObligations)) {
     Result.Note = "resources exhausted processing pdr obligations";
     return Step::Stop;
   }
+  ++Result.Stats.PdrObligations;
 
   LocId Loc = Nodes[NodeIdx].Loc;
   // An obligation at the entry location (or at level 0, which implies
@@ -309,20 +308,14 @@ Step PdrEngine::Impl::handleCexCandidate(int NodeIdx) {
   if (S == SmtSolver::Status::Sat) {
     Result.Verdict = EngineResult::Verdict::Unsafe;
     Result.Witness = Cex;
-    if (Opts.ValidateWitness) {
-      Result.Replay = replayFromModel(P, Cex, Solver.model());
-      Result.WitnessReplayed = Result.Replay.Feasible;
-    }
+    Result.Replay = replayFromModel(P, Cex, Solver.model());
+    Result.WitnessReplayed = Result.Replay.Feasible;
     return Step::Stop;
   }
   return refineSpurious(Cex);
 }
 
 Step PdrEngine::Impl::refineSpurious(const Path &Cex) {
-  if (Iter == Opts.MaxRefinements) {
-    Result.Note = "refinement budget exhausted";
-    return Step::Stop;
-  }
   if (!resourceCharge(ResourceKind::Refinements)) {
     Result.Note = "resources exhausted before refinement";
     return Step::Stop;
@@ -333,12 +326,11 @@ Step PdrEngine::Impl::refineSpurious(const Path &Cex) {
   Result.Stats.TemplateLevelsTried += Refined.TemplateLevelsTried;
   if (!Refined.Progress && resourceExhausted()) {
     // Interrupted mid-refinement (slice pause or real exhaustion):
-    // report without consuming the iteration or the one-shot escalation,
+    // report without counting the refinement or consuming the escalation,
     // so a resumed run retries this path with the full machinery.
     Result.Note = "resources exhausted during refinement";
     return Step::Stop;
   }
-  ++Iter;
   ++Result.Stats.Refinements;
   if (Refined.UsedFallback)
     ++Result.Stats.Fallbacks;

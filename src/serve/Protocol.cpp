@@ -32,25 +32,12 @@ bool applyBudgets(const Json &Budgets, ResourceLimits &Limits,
       Error = "budget '" + Key + "' must be a non-negative integer";
       return false;
     }
-    uint64_t Count = static_cast<uint64_t>(Value.asInt());
-    if (Key == "sat_conflicts")
-      Limits.SatConflicts = Count;
-    else if (Key == "pivots")
-      Limits.Pivots = Count;
-    else if (Key == "bnb_nodes")
-      Limits.BnbNodes = Count;
-    else if (Key == "synth_combos")
-      Limits.SynthCombos = Count;
-    else if (Key == "arg_expansions")
-      Limits.ArgExpansions = Count;
-    else if (Key == "refinements")
-      Limits.Refinements = Count;
-    else if (Key == "pdr_obligations")
-      Limits.PdrObligations = Count;
-    else {
+    const StepBudget *B = findStepBudget(Key);
+    if (!B) {
       Error = "unknown budget key '" + Key + "'";
       return false;
     }
+    Limits.*B->Limit = static_cast<uint64_t>(Value.asInt());
   }
   return true;
 }

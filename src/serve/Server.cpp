@@ -241,20 +241,9 @@ ResourceLimits Server::effectiveBaseLimits(const JobRequest &Req) const {
     L.TimeoutSeconds = D.TimeoutSeconds;
   if (L.MemoryBytes == 0)
     L.MemoryBytes = D.MemoryBytes;
-  if (L.SatConflicts == 0)
-    L.SatConflicts = D.SatConflicts;
-  if (L.Pivots == 0)
-    L.Pivots = D.Pivots;
-  if (L.BnbNodes == 0)
-    L.BnbNodes = D.BnbNodes;
-  if (L.SynthCombos == 0)
-    L.SynthCombos = D.SynthCombos;
-  if (L.ArgExpansions == 0)
-    L.ArgExpansions = D.ArgExpansions;
-  if (L.Refinements == 0)
-    L.Refinements = D.Refinements;
-  if (L.PdrObligations == 0)
-    L.PdrObligations = D.PdrObligations;
+  for (const StepBudget &B : StepBudgets)
+    if (L.*B.Limit == 0)
+      L.*B.Limit = D.*B.Limit;
   return L;
 }
 
@@ -278,13 +267,8 @@ Server::escalatedLimits(const ResourceLimits &Base, int Attempt,
     uint64_t Grown = Budget * Factor;
     Budget = (Grown / Factor == Budget) ? Grown : UINT64_MAX;
   };
-  Grow(L.SatConflicts);
-  Grow(L.Pivots);
-  Grow(L.BnbNodes);
-  Grow(L.SynthCombos);
-  Grow(L.ArgExpansions);
-  Grow(L.Refinements);
-  Grow(L.PdrObligations);
+  for (const StepBudget &B : StepBudgets)
+    Grow(L.*B.Limit);
   if (L.TimeoutSeconds > 0)
     L.TimeoutSeconds *= std::pow(Opts.TimeoutEscalation, Attempt);
   L.CancelFlag = &Cancel;

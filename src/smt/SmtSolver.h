@@ -71,10 +71,6 @@ public:
   uint64_t numQueries() const { return Queries; }
   uint64_t numTheoryChecks() const { return Ctx.stats().TheoryChecks; }
   uint64_t numCacheHits() const { return CacheHits; }
-  /// Cumulative CDCL-core statistics of the underlying context.
-  uint64_t numSatConflicts() const { return Ctx.stats().SatConflicts; }
-  uint64_t numSatDecisions() const { return Ctx.stats().SatDecisions; }
-  uint64_t numSatPropagations() const { return Ctx.stats().SatPropagations; }
 
 private:
   TermManager &TM;

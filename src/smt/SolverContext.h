@@ -226,14 +226,6 @@ public:
   void setLearnedClauseBudget(size_t Budget) { LearnedBudget = Budget; }
   size_t learnedClauseBudget() const { return LearnedBudget; }
 
-  /// Budgets for the theory solver's scoped branch-and-bound (nodes per
-  /// query, branch depth). A zero node budget disables the scoped search:
-  /// every split-requiring query re-solves from scratch, the
-  /// pre-branch-and-bound behavior (bench harness reference mode).
-  void setTheoryBnbBudgets(uint32_t MaxNodes, uint32_t MaxDepth) {
-    Theory.setBnbBudgets(MaxNodes, MaxDepth);
-  }
-
   /// Snapshot of the context's statistics.
   ContextStats stats() const;
 

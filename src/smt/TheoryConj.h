@@ -129,8 +129,7 @@ public:
   /// back to the from-scratch solve (always sound, just slower). A zero
   /// node budget disables the scoped search entirely — every
   /// split-requiring query takes the scratch path, which is exactly the
-  /// pre-branch-and-bound behavior (used by the bench harness as its
-  /// in-process reference, and by tests pinning the fallback).
+  /// pre-branch-and-bound behavior (used by tests pinning the fallback).
   void setBnbBudgets(uint32_t MaxNodes, uint32_t MaxDepth) {
     BnbNodeBudget = MaxNodes;
     BnbDepthBudget = MaxDepth;

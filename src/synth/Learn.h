@@ -48,10 +48,10 @@
 /// prefixes: a trie whose edges are combo serializations under one
 /// renaming shared along the branch (root edge: the cut rows), so a
 /// trie node *is* a canonical search prefix and carries the joint LP
-/// verdict of asserting it. A repeated search — an engine restart, the
-/// next CEGAR round, a warmed benchmark iteration — replays its dfs
-/// without re-running the simplex, and a cold search pays only the
-/// candidate's own serialization per step, never the whole prefix.
+/// verdict of asserting it. A repeated search — an engine restart or the
+/// next CEGAR round — replays its dfs without re-running the simplex, and
+/// a cold search pays only the candidate's own serialization per step,
+/// never the whole prefix.
 /// Full renaming is sound again here, because a node covers the entire
 /// constraint system its verdict is about.
 ///

@@ -37,8 +37,7 @@ struct SynthOptions {
   uint64_t MaxLpChecks = 25000;
   /// Conflict learning: nogoods, combo dedup, root cuts, and the combo
   /// verdict cache. Off, the search is exactly the pre-learning
-  /// backjumping DFS — the bench harness's in-process reference and the
-  /// differential sweep's oracle both pin that mode.
+  /// backjumping DFS — the differential sweep's oracle pins that mode.
   bool Learning = true;
   /// Optional persistent learner. When set (engines own one per job),
   /// combo verdicts survive across solveConditions calls — across

@@ -122,10 +122,9 @@ proc straight(x) {
 
 /// A family of \p K sequential nondeterministic loops, each guarding its
 /// own assertion: every loop needs its own refinement, so a verification
-/// run refines at least K times. Refinement N+1 concerns loop N+1 only —
-/// the workload behind the `refinement_reuse` benchmark, where the
-/// persistent-ARG engine keeps the already-verified prefix while the
-/// restart engine re-explores everything per refinement.
+/// run refines at least K times. Refinement N+1 concerns loop N+1 only, so
+/// the persistent ARG keeps the already-verified prefix of loops across
+/// refinements.
 inline std::string sequentialLoops(int K) {
   std::string Src = "proc reuse(n) {\n  var i";
   for (int J = 0; J < K; ++J)

@@ -7,10 +7,9 @@
 /// \file
 /// The lazy-abstraction reachability engine: per-location precision
 /// scoping, graph-wide covering and forced covering, subtree-scoped
-/// refinement reuse (the ARG engine must expand strictly less than a
-/// restart re-exploration), ARG well-formedness invariants, and a
-/// differential check that all six paper programs keep their verdicts
-/// under both reachability engines.
+/// refinement reuse (pinned to exact expansion and refinement counts),
+/// ARG well-formedness invariants, and the verdict plus replayed witness
+/// of all six paper programs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -188,34 +187,24 @@ TEST(RefinerAttributionTest, NewPredicatesLandOnPathLocations) {
 //===----------------------------------------------------------------------===//
 
 TEST(ArgReuseTest, RefinementReusesUnaffectedSubtrees) {
-  std::string Src = testprogs::sequentialLoops(4);
-  auto runMode = [&](ReachMode Mode) {
-    EngineOptions Opts;
-    Opts.Refiner = RefinerKind::PathInvariantIntervals;
-    Opts.Reach.Mode = Mode;
-    Verifier V(Opts);
-    auto R = V.verifySource(Src);
-    EXPECT_TRUE(R.hasValue());
-    EXPECT_EQ(R.get().Verdict, EngineResult::Verdict::Safe);
-    return R.get().Stats;
-  };
-  EngineStats ArgStats = runMode(ReachMode::Arg);
-  EngineStats RestartStats = runMode(ReachMode::Restart);
-
-  // Both engines refine repeatedly; the ARG engine must do strictly less
-  // reachability work — at least 2x fewer node expansions — because every
-  // refinement N+1 reuses the subgraph loops 1..N already built, instead
-  // of a fresh re-exploration.
-  EXPECT_GT(RestartStats.Refinements, 3u);
-  EXPECT_GE(RestartStats.NodesExpanded, 2 * ArgStats.NodesExpanded);
-  EXPECT_GT(ArgStats.NodesReused, 0u);
-  EXPECT_EQ(RestartStats.NodesReused, 0u);
+  // Ten sequential loops, each refuted by its own refinements: refinement
+  // N+1 reuses the subgraph loops 1..N already built instead of exploring
+  // them again. Node expansions and refinements are deterministic for a
+  // fixed configuration, so they are pinned exactly; a change in either
+  // is a change in how much the ARG reuses.
+  EngineOptions Opts;
+  Opts.Refiner = RefinerKind::PathInvariantIntervals;
+  Verifier V(Opts);
+  auto R = V.verifySource(testprogs::sequentialLoops(10));
+  ASSERT_TRUE(R.hasValue());
+  EXPECT_EQ(R.get().Verdict, EngineResult::Verdict::Safe);
+  EXPECT_EQ(R.get().Stats.NodesExpanded, 336u);
+  EXPECT_EQ(R.get().Stats.Refinements, 30u);
+  EXPECT_GT(R.get().Stats.NodesReused, 0u);
 }
 
 TEST(ArgReuseTest, ForwardConvergesWithCoveringAndForcedCovers) {
-  EngineOptions Opts;
-  Opts.Reach.Mode = ReachMode::Arg;
-  Verifier V(Opts);
+  Verifier V;
   auto R = V.verifySource(testprogs::Forward);
   ASSERT_TRUE(R.hasValue());
   EXPECT_EQ(R.get().Verdict, EngineResult::Verdict::Safe);
@@ -228,7 +217,7 @@ TEST(ArgReuseTest, ForwardConvergesWithCoveringAndForcedCovers) {
 }
 
 //===----------------------------------------------------------------------===//
-// Differential: both engines agree on every paper program
+// Every paper program: verdict and replayed witness
 //===----------------------------------------------------------------------===//
 
 struct ProgramCase {
@@ -237,7 +226,7 @@ struct ProgramCase {
   bool Safe;
 };
 
-TEST(ArgDifferentialTest, AllPaperProgramVerdictsMatchRestartEngine) {
+TEST(ArgPaperProgramsTest, VerdictsAndWitnessesHold) {
   const ProgramCase Cases[] = {
       {"forward", testprogs::Forward, true},
       {"init_check", testprogs::InitCheck, true},
@@ -249,20 +238,13 @@ TEST(ArgDifferentialTest, AllPaperProgramVerdictsMatchRestartEngine) {
   for (const ProgramCase &C : Cases) {
     auto Want = C.Safe ? EngineResult::Verdict::Safe
                        : EngineResult::Verdict::Unsafe;
-    for (ReachMode Mode : {ReachMode::Arg, ReachMode::Restart}) {
-      EngineOptions Opts;
-      Opts.Reach.Mode = Mode;
-      Verifier V(Opts);
-      auto R = V.verifySource(C.Source);
-      ASSERT_TRUE(R.hasValue()) << C.Name;
-      EXPECT_EQ(R.get().Verdict, Want)
-          << C.Name << " under "
-          << (Mode == ReachMode::Arg ? "arg" : "restart");
-      // Unsafe verdicts must come with an independently replayed witness
-      // under both engines.
-      if (!C.Safe) {
-        EXPECT_TRUE(R.get().WitnessReplayed) << C.Name;
-      }
+    Verifier V;
+    auto R = V.verifySource(C.Source);
+    ASSERT_TRUE(R.hasValue()) << C.Name;
+    EXPECT_EQ(R.get().Verdict, Want) << C.Name;
+    // Unsafe verdicts must come with an independently replayed witness.
+    if (!C.Safe) {
+      EXPECT_TRUE(R.get().WitnessReplayed) << C.Name;
     }
   }
 }

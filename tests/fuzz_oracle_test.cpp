@@ -162,7 +162,7 @@ TEST(FuzzMinimizer, RejectsUnparseableInput) {
 
 TEST(Certificate, RoundTripThroughTextValidates) {
   // A paper-shaped safe loop the CEGAR engine proves with an ARG
-  // fixpoint; ExportCertificate (default on) attaches the invariant map.
+  // fixpoint; the engine attaches the invariant map it reads off the ARG.
   const char *Source = "proc f(n) {\n"
                        "  var x, i;\n"
                        "  assume(n >= 0);\n"

@@ -4,10 +4,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The resource-governance contract end-to-end: every budget in the
-// taxonomy, exhausted on the paper's six programs, must yield either the
-// correct verdict or Unknown with a machine-readable reason — never a
-// crash, never a wrong verdict, never an unusable verifier. The same
+// The resource-governance contract end-to-end: a budget of N admits
+// exactly N steps of its kind, and every budget in the taxonomy,
+// exhausted on the paper's six programs, must yield either the correct
+// verdict or Unknown with a machine-readable reason — never a crash,
+// never a wrong verdict, never an unusable verifier. The same
 // verifier object is reused after each exhaustion to prove the solver
 // stack unwound cleanly. With PATHINV_FAULT_INJECT compiled in, a
 // deterministic seed sweep drives the injection sites (solver
@@ -24,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -88,6 +90,104 @@ void expectGracefulOutcome(const EngineResult &R, const ProgSpec &Prog,
   EXPECT_TRUE(isKnownReason(R.UnknownReason))
       << Prog.Name << " under " << What << ": unknown reason '"
       << R.UnknownReason << "'";
+}
+
+TEST(ResourceControllerTest, BudgetOfNAdmitsExactlyNSteps) {
+  // Every step kind, with its reason and its fields, independent of the
+  // StepBudgets table the controller uses.
+  struct KindCase {
+    ResourceKind Kind;
+    const char *Reason;
+    uint64_t ResourceLimits::*Limit;
+    uint64_t ResourceSpent::*Spent;
+  };
+  const KindCase Kinds[] = {
+      {ResourceKind::SatConflicts, "sat_conflicts",
+       &ResourceLimits::SatConflicts, &ResourceSpent::SatConflicts},
+      {ResourceKind::Pivots, "pivots", &ResourceLimits::Pivots,
+       &ResourceSpent::Pivots},
+      {ResourceKind::BnbNodes, "bnb_nodes", &ResourceLimits::BnbNodes,
+       &ResourceSpent::BnbNodes},
+      {ResourceKind::SynthCombos, "synth_combos", &ResourceLimits::SynthCombos,
+       &ResourceSpent::SynthCombos},
+      {ResourceKind::ArgExpansions, "arg_expansions",
+       &ResourceLimits::ArgExpansions, &ResourceSpent::ArgExpansions},
+      {ResourceKind::Refinements, "refinements", &ResourceLimits::Refinements,
+       &ResourceSpent::Refinements},
+      {ResourceKind::PdrObligations, "pdr_obligations",
+       &ResourceLimits::PdrObligations, &ResourceSpent::PdrObligations},
+  };
+  // Budgets around the poll interval put the refused charge both on an
+  // ordinary charge and on the amortized full poll.
+  const uint64_t Budgets[] = {1, 3, ResourceController::PollInterval - 1,
+                              ResourceController::PollInterval};
+  for (const KindCase &K : Kinds) {
+    const StepBudget *Row = findStepBudget(K.Reason);
+    ASSERT_NE(Row, nullptr) << K.Reason;
+    EXPECT_EQ(Row->Kind, K.Kind) << K.Reason;
+    for (uint64_t N : Budgets) {
+      ResourceLimits Limits;
+      Limits.*K.Limit = N;
+      ResourceController RC(Limits);
+      RC.start();
+      for (uint64_t I = 0; I < N; ++I)
+        ASSERT_TRUE(RC.charge(K.Kind)) << K.Reason << ": charge " << I + 1
+                                       << " of a budget of " << N;
+      // The other kinds stay unlimited.
+      for (const KindCase &Other : Kinds) {
+        if (Other.Kind != K.Kind) {
+          EXPECT_TRUE(RC.charge(Other.Kind))
+              << K.Reason << " vs " << Other.Reason;
+        }
+      }
+      EXPECT_FALSE(RC.exhausted()) << K.Reason;
+      EXPECT_FALSE(RC.charge(K.Kind)) << K.Reason << ": charge " << N + 1
+                                      << " of a budget of " << N;
+      ASSERT_TRUE(RC.exhausted()) << K.Reason;
+      EXPECT_EQ(RC.reason(), K.Kind) << K.Reason;
+      EXPECT_STREQ(resourceReasonName(RC.reason()), K.Reason);
+      // The refused charge did not run, so it is not spent.
+      EXPECT_EQ(RC.spent().*K.Spent, N) << K.Reason;
+    }
+  }
+}
+
+TEST(RobustnessTest, RefinementBudgetOfOneRunsOneRefinement) {
+  // FORWARD needs three refinements; a budget of one runs exactly one.
+  Verifier V;
+  V.options().Limits.Refinements = 1;
+  EngineResult R = runOnce(V, testprogs::Forward);
+  EXPECT_EQ(R.Verdict, Verdict::Unknown);
+  EXPECT_EQ(R.UnknownReason, "refinements");
+  EXPECT_EQ(R.Stats.Refinements, 1u);
+  EXPECT_EQ(R.Stats.Resources.Refinements, 1u);
+}
+
+TEST(RobustnessTest, RefinementBudgetIsTheOnlyRefinementCap) {
+  // With the interval refiner, fourteen sequential loops need 42
+  // refinements: more than the default budget, less than pathinvd's.
+  const std::string Src = testprogs::sequentialLoops(14);
+  auto run = [&](std::optional<uint64_t> Refinements) {
+    Verifier V;
+    V.options().Refiner = RefinerKind::PathInvariantIntervals;
+    if (Refinements)
+      V.options().Limits.Refinements = *Refinements;
+    return runOnce(V, Src.c_str());
+  };
+  EngineResult Generous = run(80);
+  EXPECT_EQ(Generous.Verdict, Verdict::Safe) << Generous.Note;
+  EXPECT_EQ(Generous.Stats.Refinements, 42u);
+
+  EngineResult Tight = run(20);
+  EXPECT_EQ(Tight.Verdict, Verdict::Unknown);
+  EXPECT_EQ(Tight.UnknownReason, "refinements");
+  EXPECT_EQ(Tight.Stats.Refinements, 20u);
+
+  // No budget set: the default cap, reported as a reason.
+  EngineResult Default = run(std::nullopt);
+  EXPECT_EQ(Default.Verdict, Verdict::Unknown);
+  EXPECT_EQ(Default.UnknownReason, "refinements");
+  EXPECT_EQ(Default.Stats.Refinements, EngineOptions::DefaultRefinements);
 }
 
 TEST(RobustnessTest, EveryBudgetExhaustsToReasonedUnknown) {

@@ -371,10 +371,12 @@ TEST(SolverContextInterruption, StormCancelledAtRandomCheckpoints) {
     return F.get();
   };
   // Formula pool biased toward pivot- and split-heavy shapes; the
-  // disjunctions route through the lazy CDCL(T) path.
+  // disjunctions route through the lazy CDCL(T) path. Eight variables keep
+  // enough of the stacks satisfiable that checks need more pivots than the
+  // smallest budgets admit.
   auto randomFormula = [&]() {
-    std::string X = "x" + std::to_string(Rng() % 4);
-    std::string Y = "x" + std::to_string(Rng() % 4);
+    std::string X = "x" + std::to_string(Rng() % 8);
+    std::string Y = "x" + std::to_string(Rng() % 8);
     std::string C = std::to_string(static_cast<int64_t>(Rng() % 15) - 7);
     switch (Rng() % 6) {
     case 0:

@@ -64,45 +64,6 @@ bool parseUint(const char *Text, uint64_t &Out) {
   return true;
 }
 
-bool parseBudgets(const char *Text, pathinv::ResourceLimits &Limits) {
-  std::string Spec = Text;
-  size_t Pos = 0;
-  while (Pos < Spec.size()) {
-    size_t Comma = Spec.find(',', Pos);
-    if (Comma == std::string::npos)
-      Comma = Spec.size();
-    std::string Pair = Spec.substr(Pos, Comma - Pos);
-    Pos = Comma + 1;
-    size_t Eq = Pair.find('=');
-    uint64_t Count = 0;
-    if (Eq == std::string::npos ||
-        !parseUint(Pair.c_str() + Eq + 1, Count)) {
-      std::cerr << "malformed budget '" << Pair << "' (want key=count)\n";
-      return false;
-    }
-    std::string Key = Pair.substr(0, Eq);
-    if (Key == "sat_conflicts")
-      Limits.SatConflicts = Count;
-    else if (Key == "pivots")
-      Limits.Pivots = Count;
-    else if (Key == "bnb_nodes")
-      Limits.BnbNodes = Count;
-    else if (Key == "synth_combos")
-      Limits.SynthCombos = Count;
-    else if (Key == "arg_expansions")
-      Limits.ArgExpansions = Count;
-    else if (Key == "refinements")
-      Limits.Refinements = Count;
-    else if (Key == "pdr_obligations")
-      Limits.PdrObligations = Count;
-    else {
-      std::cerr << "unknown budget key '" << Key << "'\n";
-      return false;
-    }
-  }
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -151,8 +112,11 @@ int main(int Argc, char **Argv) {
         return usage(Argv[0]);
       Opts.Oracle.Budget.TimeoutSeconds = Sec;
     } else if (const char *V = valueOf("--budgets=")) {
-      if (!parseBudgets(V, Opts.Oracle.Budget))
+      std::string Error;
+      if (!pathinv::parseStepBudgets(V, Opts.Oracle.Budget, Error)) {
+        std::cerr << Error << "\n";
         return usage(Argv[0]);
+      }
     } else if (Arg == "--minimize") {
       Opts.Minimize = true;
     } else if (Arg == "--dump") {

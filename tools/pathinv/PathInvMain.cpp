@@ -10,9 +10,6 @@
 /// Usage: pathinv [options] <file.pil | ->
 ///   --engine=cegar|pdr|portfolio              verification backend
 ///   --refiner=pathinv|intervals|pathformula   refinement strategy
-///   --reach=arg|restart                       CEGAR reachability engine
-///   --max-refinements=N                       CEGAR iteration budget
-///   --max-nodes=N                             abstract reachability budget
 ///   --timeout=SEC                             wall-clock deadline
 ///   --memory=MB                               soft tracked-heap ceiling
 ///   --budgets=k=v,...                         per-layer step budgets
@@ -47,17 +44,16 @@ int usage(const char *Argv0) {
       << "                       time-sliced race of both\n"
       << "  --refiner=pathinv|intervals|pathformula  refinement strategy\n"
       << "                                           (default: pathinv)\n"
-      << "  --reach=arg|restart  CEGAR reachability engine: persistent ARG\n"
-      << "                       with subtree-scoped refinement (default),\n"
-      << "                       or the legacy restart-the-world tree\n"
-      << "  --max-refinements=N  CEGAR iteration budget (default 40)\n"
-      << "  --max-nodes=N        abstract reachability node budget\n"
       << "  --timeout=SEC        wall-clock deadline (0 = unlimited)\n"
       << "  --memory=MB          soft ceiling on tracked heap bytes\n"
       << "  --budgets=k=v,...    per-layer step budgets; keys:\n"
       << "                       sat_conflicts, pivots, bnb_nodes,\n"
       << "                       synth_combos, arg_expansions, refinements,\n"
-      << "                       pdr_obligations\n"
+      << "                       pdr_obligations (defaults: refinements="
+      << pathinv::EngineOptions::DefaultRefinements << ",\n"
+      << "                       arg_expansions="
+      << pathinv::EngineOptions::DefaultArgExpansions
+      << ", the rest unlimited)\n"
       << "  --emit-cert=FILE     on a Safe verdict, write the invariant-map\n"
       << "                       certificate (validate offline with\n"
       << "                       pathinv-check); fails the run when the\n"
@@ -84,51 +80,6 @@ bool parseSeconds(const char *Text, double &Out) {
   if (End == Text || *End != '\0' || V < 0)
     return false;
   Out = V;
-  return true;
-}
-
-/// Parses a "--budgets=" value: comma-separated key=value pairs keyed by
-/// the Unknown-reason taxonomy. \returns false (with a message) on any
-/// unknown key or malformed count.
-bool parseBudgets(const char *Text, pathinv::ResourceLimits &Limits) {
-  std::string Spec = Text;
-  size_t Pos = 0;
-  while (Pos < Spec.size()) {
-    size_t Comma = Spec.find(',', Pos);
-    if (Comma == std::string::npos)
-      Comma = Spec.size();
-    std::string Pair = Spec.substr(Pos, Comma - Pos);
-    Pos = Comma + 1;
-    size_t Eq = Pair.find('=');
-    if (Eq == std::string::npos) {
-      std::cerr << "malformed budget '" << Pair << "' (want key=count)\n";
-      return false;
-    }
-    std::string Key = Pair.substr(0, Eq);
-    uint64_t Count = 0;
-    if (!parseUint(Pair.c_str() + Eq + 1, Count)) {
-      std::cerr << "malformed budget count in '" << Pair << "'\n";
-      return false;
-    }
-    if (Key == "sat_conflicts") {
-      Limits.SatConflicts = Count;
-    } else if (Key == "pivots") {
-      Limits.Pivots = Count;
-    } else if (Key == "bnb_nodes") {
-      Limits.BnbNodes = Count;
-    } else if (Key == "synth_combos") {
-      Limits.SynthCombos = Count;
-    } else if (Key == "arg_expansions") {
-      Limits.ArgExpansions = Count;
-    } else if (Key == "refinements") {
-      Limits.Refinements = Count;
-    } else if (Key == "pdr_obligations") {
-      Limits.PdrObligations = Count;
-    } else {
-      std::cerr << "unknown budget key '" << Key << "'\n";
-      return false;
-    }
-  }
   return true;
 }
 
@@ -163,21 +114,6 @@ int main(int Argc, char **Argv) {
         std::cerr << "unknown refiner '" << V << "'\n";
         return usage(Argv[0]);
       }
-    } else if (const char *V = valueOf("--reach=")) {
-      if (std::strcmp(V, "arg") == 0) {
-        Opts.Reach.Mode = pathinv::ReachMode::Arg;
-      } else if (std::strcmp(V, "restart") == 0) {
-        Opts.Reach.Mode = pathinv::ReachMode::Restart;
-      } else {
-        std::cerr << "unknown reachability engine '" << V << "'\n";
-        return usage(Argv[0]);
-      }
-    } else if (const char *V = valueOf("--max-refinements=")) {
-      if (!parseUint(V, Opts.MaxRefinements))
-        return usage(Argv[0]);
-    } else if (const char *V = valueOf("--max-nodes=")) {
-      if (!parseUint(V, Opts.Reach.MaxNodes))
-        return usage(Argv[0]);
     } else if (const char *V = valueOf("--timeout=")) {
       if (!parseSeconds(V, Opts.Limits.TimeoutSeconds))
         return usage(Argv[0]);
@@ -187,8 +123,11 @@ int main(int Argc, char **Argv) {
         return usage(Argv[0]);
       Opts.Limits.MemoryBytes = MegaBytes * 1024 * 1024;
     } else if (const char *V = valueOf("--budgets=")) {
-      if (!parseBudgets(V, Opts.Limits))
+      std::string Error;
+      if (!pathinv::parseStepBudgets(V, Opts.Limits, Error)) {
+        std::cerr << Error << "\n";
         return usage(Argv[0]);
+      }
     } else if (const char *V = valueOf("--emit-cert=")) {
       EmitCertPath = V;
     } else if (Arg == "--stats") {
