@@ -71,46 +71,6 @@ private:
   uint64_t AssertedConjuncts = 0;
 };
 
-/// Escalation: when per-path synthesis starts falling back (or stalls),
-/// attempt one whole-program invariant map. A verified inductive map
-/// with eta(error) = false is a complete safety proof on its own
-/// (Section 3), and it covers programs whose individual path programs
-/// defeat the template heuristic. \returns true when it proved Safe.
-bool tryWholeProgramEscalation(const Program &P, SmtSolver &Solver,
-                               const EngineOptions &Opts,
-                               const RefineResult &Refined, bool &Tried,
-                               EngineResult &Result) {
-  if (!(Refined.UsedFallback || !Refined.Progress) || Tried ||
-      Opts.Refiner == RefinerKind::PathFormula)
-    return false;
-  if (resourceExhausted())
-    return false; // Keep the one-shot intact: under a tripped controller
-                  // (including a portfolio slice pause) the generation
-                  // could only fail, and a resumed run still needs it.
-  PathInvResult Whole =
-      Opts.Refiner == RefinerKind::PathInvariantIntervals
-          ? generateIntervalInvariants(P, Solver)
-          : generatePathInvariants(P, Solver, Opts.PathInv);
-  Result.Stats.LpChecks += Whole.LpChecks;
-  Result.Stats.TemplateLevelsTried += Whole.LevelsTried;
-  if (!Whole.Found) {
-    // Only a generation that ran to completion proves the map doesn't
-    // exist; an interrupted attempt must stay retryable after resume.
-    Tried = !resourceExhausted();
-    return false;
-  }
-  Tried = true;
-  std::vector<std::pair<LocId, const Term *>> Localized;
-  Whole.Map.collectLocalized(Localized);
-  for (const auto &[Loc, Pred] : Localized)
-    Result.Predicates.add(Loc, Pred);
-  Result.Verdict = EngineResult::Verdict::Safe;
-  Result.Invariants = Whole.Map;
-  Result.HasInvariants = true;
-  Result.Note = "proved by whole-program invariant map";
-  return true;
-}
-
 /// Phase 2 of the loop: decides the abstract counterexample's SSA path
 /// formula. On Sat — a real bug — fills the Unsafe verdict, the witness,
 /// and its independent concrete replay, and returns true.
@@ -190,11 +150,12 @@ void syncReachStats(EngineStats &S, const ArgStats &A) {
 /// All loop state lives here so a slice-paused run() resumes exactly
 /// where it stopped: the persistent ARG, the incremental path-formula
 /// checker, the grown precision (inside Result.Predicates, which the ARG
-/// references), and the escalation flag.
+/// references), and the whole-program search state.
 struct CegarEngine::Impl {
-  Impl(const Program &P, SmtSolver &Solver, const EngineOptions &Opts)
+  Impl(const Program &P, SmtSolver &Solver, const EngineOptions &Opts,
+       WholeProgramSearch &Whole)
       : P(P), Solver(Solver), Opts(Opts), PathChecker(P.termManager()),
-        Reach(P, Result.Predicates, Solver) {
+        Reach(P, Result.Predicates, Solver), Whole(Whole) {
     // One persistent synthesis learner per job: combo verdicts survive
     // across refinement-interval retries, whole-program escalations, and
     // slice-paused resumes (Opts is held by value, so the pointer stays
@@ -214,9 +175,13 @@ struct CegarEngine::Impl {
   /// Persistent conflict-learning state of every synthesis search this
   /// job runs (whole-program probes included).
   SynthLearner Learner;
-  bool TriedWholeProgram = false;
+  WholeProgramSearch &Whole;
   bool Done = false; ///< Terminal (not just slice-paused) outcome reached.
 
+  bool escalate() {
+    return escalateToWholeProgram(P, Solver, Opts.Refiner, Opts.PathInv,
+                                  Whole, Result);
+  }
   void runLoop();
   void finish();
   void exportCertificate();
@@ -270,6 +235,7 @@ void CegarEngine::Impl::runLoop() {
     ArgRunResult Reached = Reach.run();
     if (Reached.Kind == ArgRunResult::Kind::Proof) {
       Result.Verdict = EngineResult::Verdict::Safe;
+      Result.Note = "proved by ARG fixpoint";
       exportCertificate();
       return finish();
     }
@@ -299,10 +265,17 @@ void CegarEngine::Impl::runLoop() {
       Result.Note = "resources exhausted before refinement";
       return finish();
     }
-    RefineResult Refined = refine(P, Cex, Result.Predicates, Solver,
-                                  Opts.Refiner, Opts.PathInv);
+    // A path program that fails a template level escalates to the
+    // whole-program search before trying the next level.
+    RefineResult Refined =
+        refine(P, Cex, Result.Predicates, Solver, Opts.Refiner, Opts.PathInv,
+               [this] { return escalate(); });
     Result.Stats.LpChecks += Refined.LpChecks;
     Result.Stats.TemplateLevelsTried += Refined.TemplateLevelsTried;
+    if (Result.Verdict == EngineResult::Verdict::Safe) {
+      ++Result.Stats.Refinements;
+      return finish();
+    }
     if (resourceExhausted()) {
       // Interrupted mid-refinement (slice pause or real exhaustion):
       // report without counting the refinement or consuming the ladder,
@@ -322,8 +295,8 @@ void CegarEngine::Impl::runLoop() {
 
     escalateBudgetedRefinement(P, Cex, Solver, Opts, Refined, Result);
 
-    if (tryWholeProgramEscalation(P, Solver, Opts, Refined,
-                                  TriedWholeProgram, Result))
+    // Per-path refinement stalled: escalate, unless a search completed.
+    if ((Refined.UsedFallback || !Refined.Progress) && escalate())
       return finish();
 
     if (!Refined.Progress) {
@@ -339,8 +312,8 @@ void CegarEngine::Impl::runLoop() {
 }
 
 CegarEngine::CegarEngine(const Program &P, SmtSolver &Solver,
-                         const EngineOptions &Opts)
-    : I(std::make_unique<Impl>(P, Solver, Opts)) {}
+                         const EngineOptions &Opts, WholeProgramSearch &Whole)
+    : I(std::make_unique<Impl>(P, Solver, Opts, Whole)) {}
 
 CegarEngine::~CegarEngine() = default;
 
@@ -358,11 +331,7 @@ EngineResult CegarEngine::run() {
   I->Done = !Paused;
   // Learner lifetime totals (overwritten each exit, like the other
   // persistent-context counters).
-  const SynthLearnStats &L = I->Opts.PathInv.Synth.Learner->Stats;
-  I->Result.Stats.SynthNogoods = L.Nogoods;
-  I->Result.Stats.SynthCombosDeduped = L.CombosDeduped;
-  I->Result.Stats.SynthLemmasReused = L.LemmasReused;
-  I->Result.Stats.SynthCuts = L.Cuts;
+  I->Result.Stats.setSynthLearning(I->Opts.PathInv.Synth.Learner->Stats);
   return I->Result;
 }
 
@@ -379,7 +348,8 @@ EngineResult pathinv::verify(const Program &P, SmtSolver &Solver,
   });
   RC.start();
   ResourceScope Scope(RC);
-  CegarEngine Engine(P, Solver, Opts);
+  WholeProgramSearch Whole;
+  CegarEngine Engine(P, Solver, Opts, Whole);
   EngineResult Result = Engine.run();
   // Exhaustion is never a verdict: a Safe or Unsafe reached before (or
   // soundly despite) the trip stands; only Unknown carries the reason.

@@ -30,10 +30,12 @@ namespace pathinv {
 
 /// The CEGAR backend. Holds the persistent ARG, the incremental
 /// path-formula checker, and the grown precision across run() calls, so
-/// a slice-paused job resumes mid-refinement-loop.
+/// a slice-paused job resumes mid-refinement-loop. \p Whole is the job's
+/// whole-program search, owned by the caller.
 class CegarEngine final : public VerificationEngine {
 public:
-  CegarEngine(const Program &P, SmtSolver &Solver, const EngineOptions &Opts);
+  CegarEngine(const Program &P, SmtSolver &Solver, const EngineOptions &Opts,
+              WholeProgramSearch &Whole);
   ~CegarEngine() override;
 
   const char *name() const override { return "cegar"; }

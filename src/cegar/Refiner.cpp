@@ -6,6 +6,7 @@
 
 #include "cegar/Refiner.h"
 
+#include "core/Engine.h"
 #include "pathprog/PathProgram.h"
 #include "program/CutSet.h"
 #include "smt/SmtSolver.h"
@@ -163,7 +164,8 @@ void distributeInvariants(const Program &P, const PathProgram &PP,
 
 RefineResult pathinv::refine(const Program &P, const Path &Cex,
                              PredicateMap &Pi, SmtSolver &Solver,
-                             RefinerKind Kind, const PathInvOptions &Opts) {
+                             RefinerKind Kind, const PathInvOptions &Opts,
+                             const LevelFailedHook &OnLevelFailed) {
   if (Kind == RefinerKind::PathFormula)
     return refineWithWpChain(P, Cex, Pi);
 
@@ -172,9 +174,11 @@ RefineResult pathinv::refine(const Program &P, const Path &Cex,
   PathInvResult Inv =
       Kind == RefinerKind::PathInvariantIntervals
           ? generateIntervalInvariants(PP.Prog, Solver)
-          : generatePathInvariants(PP.Prog, Solver, Opts);
+          : generatePathInvariants(PP.Prog, Solver, Opts, OnLevelFailed);
   Result.TemplateLevelsTried = Inv.LevelsTried;
   Result.LpChecks = Inv.LpChecks;
+  if (Inv.Stopped)
+    return Result;
 
   if (!Inv.Found) {
     // No path-invariant map exists within the template language (or the
@@ -196,4 +200,33 @@ RefineResult pathinv::refine(const Program &P, const Path &Cex,
     Result.UsedFallback = true;
   }
   return Result;
+}
+
+bool pathinv::escalateToWholeProgram(const Program &P, SmtSolver &Solver,
+                                     RefinerKind Kind,
+                                     const PathInvOptions &Opts,
+                                     WholeProgramSearch &Search,
+                                     EngineResult &Result) {
+  if (Search.Completed || Kind == RefinerKind::PathFormula)
+    return false;
+  if (resourceExhausted())
+    return false; // The search could only fail; keep it retryable.
+  PathInvResult Whole = Kind == RefinerKind::PathInvariantIntervals
+                            ? generateIntervalInvariants(P, Solver)
+                            : generatePathInvariants(P, Solver, Opts);
+  Result.Stats.LpChecks += Whole.LpChecks;
+  Result.Stats.TemplateLevelsTried += Whole.LevelsTried;
+  // Only a search that ran to completion proves the map does not exist.
+  Search.Completed = Whole.Found || !resourceExhausted();
+  if (!Whole.Found)
+    return false;
+  std::vector<std::pair<LocId, const Term *>> Localized;
+  Whole.Map.collectLocalized(Localized);
+  for (const auto &[Loc, Pred] : Localized)
+    Result.Predicates.add(Loc, Pred);
+  Result.Verdict = EngineResult::Verdict::Safe;
+  Result.Invariants = std::move(Whole.Map);
+  Result.HasInvariants = true;
+  Result.Note = "proved by whole-program invariant map";
+  return true;
 }

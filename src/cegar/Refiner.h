@@ -36,6 +36,7 @@
 namespace pathinv {
 
 class SmtSolver;
+struct EngineResult;
 
 /// What a refinement step produced.
 struct RefineResult {
@@ -66,9 +67,38 @@ enum class RefinerKind : uint8_t {
 };
 
 /// Refines \p Pi to eliminate the infeasible error path \p Cex of \p P.
+/// \p OnLevelFailed is handed to the path program's template search
+/// (PathInvariant only); when it ends that search, the refinement returns
+/// at once without progress and without the single-path fallback.
 RefineResult refine(const Program &P, const Path &Cex, PredicateMap &Pi,
                     SmtSolver &Solver, RefinerKind Kind,
-                    const PathInvOptions &Opts = {});
+                    const PathInvOptions &Opts = {},
+                    const LevelFailedHook &OnLevelFailed = {});
+
+/// One job's whole-program invariant search. It runs to completion at
+/// most once per job; in the portfolio the probe and both lanes share it.
+struct WholeProgramSearch {
+  /// A search ran to completion, found a map or not, and is never
+  /// repeated. An interrupted search (tripped controller or slice pause)
+  /// leaves this false, so the search stays retryable.
+  bool Completed = false;
+};
+
+/// Escalates from per-path refinement to one invariant map for the whole
+/// of \p P: a verified inductive map with eta(error) = false is a
+/// complete safety proof on its own (Section 3), and it covers programs
+/// whose path programs defeat the template heuristic. The engines call it
+/// when a path program fails a template level below the top one (as the
+/// refine() hook) and when per-path refinement stalls; the portfolio
+/// probe calls it once for both lanes. Does nothing once \p Search has
+/// completed, under a tripped controller, or for the PathFormula refiner.
+/// Counts the search's LP checks and template levels into Result.Stats;
+/// a verified map ends \p Result Safe with that map as its certificate
+/// and the note "proved by whole-program invariant map".
+/// \returns true when it proved Safe.
+bool escalateToWholeProgram(const Program &P, SmtSolver &Solver,
+                            RefinerKind Kind, const PathInvOptions &Opts,
+                            WholeProgramSearch &Search, EngineResult &Result);
 
 /// Computes the weakest-precondition chain of \p Cex (wp of `false`
 /// backwards through the path): one formula per path position, forming an

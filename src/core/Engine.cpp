@@ -46,12 +46,12 @@ bool pathinv::parseEngineKind(const std::string &Name, EngineKind &Out) {
 
 std::unique_ptr<VerificationEngine>
 pathinv::makeEngine(EngineKind Kind, const Program &P, SmtSolver &Solver,
-                    const EngineOptions &Opts) {
+                    const EngineOptions &Opts, WholeProgramSearch &Whole) {
   switch (Kind) {
   case EngineKind::Cegar:
-    return std::make_unique<CegarEngine>(P, Solver, Opts);
+    return std::make_unique<CegarEngine>(P, Solver, Opts, Whole);
   case EngineKind::Pdr:
-    return std::make_unique<PdrEngine>(P, Solver, Opts);
+    return std::make_unique<PdrEngine>(P, Solver, Opts, Whole);
   case EngineKind::Portfolio:
     break; // The portfolio is a driver over backends, not a backend.
   }
@@ -76,18 +76,15 @@ struct Lane {
       : Kind(Kind), RC(Limits) {}
 };
 
-/// The escalation both backends would otherwise each run inside their
-/// lane: one whole-program invariant map generation. A verified map with
-/// eta(error) = false is a complete safety proof regardless of which
-/// engine asked for it, so the portfolio hoists the generation out of the
-/// race — it runs once, unsliced, under its own controller, instead of
-/// twice at half speed inside two slices. \returns true when it proved
+/// The whole-program search both lanes would otherwise each escalate to.
+/// A verified map is a complete safety proof whichever engine asked for
+/// it, so the portfolio hoists the search out of the race: it runs once,
+/// unsliced, under its own controller, and shares \p Whole with the lanes
+/// so neither repeats a completed search. \returns true when it proved
 /// Safe (with \p Out filled in).
 bool runWholeProgramProbe(const Program &P, SmtSolver &Solver,
                           const EngineOptions &Opts, ResourceController &RC,
-                          EngineResult &Out) {
-  if (Opts.Refiner == RefinerKind::PathFormula)
-    return false; // No synthesis backend configured for this job.
+                          WholeProgramSearch &Whole, EngineResult &Out) {
   // The probe's searches share a learner across template levels (the
   // escalation ladder re-derives many of the same combos), local to the
   // probe unless the caller wired a persistent one.
@@ -95,30 +92,11 @@ bool runWholeProgramProbe(const Program &P, SmtSolver &Solver,
   PathInvOptions PIOpts = Opts.PathInv;
   if (!PIOpts.Synth.Learner)
     PIOpts.Synth.Learner = &ProbeLearner;
-  PathInvResult Whole;
-  {
-    ResourceScope Scope(RC);
-    Whole = Opts.Refiner == RefinerKind::PathInvariantIntervals
-                ? generateIntervalInvariants(P, Solver)
-                : generatePathInvariants(P, Solver, PIOpts);
-  }
-  Out.Stats.LpChecks += Whole.LpChecks;
-  Out.Stats.TemplateLevelsTried += Whole.LevelsTried;
-  Out.Stats.SynthNogoods += Whole.Learn.Nogoods;
-  Out.Stats.SynthCombosDeduped += Whole.Learn.CombosDeduped;
-  Out.Stats.SynthLemmasReused += Whole.Learn.LemmasReused;
-  Out.Stats.SynthCuts += Whole.Learn.Cuts;
-  if (!Whole.Found)
-    return false;
-  std::vector<std::pair<LocId, const Term *>> Localized;
-  Whole.Map.collectLocalized(Localized);
-  for (const auto &[Loc, Pred] : Localized)
-    Out.Predicates.add(Loc, Pred);
-  Out.Verdict = EngineResult::Verdict::Safe;
-  Out.Invariants = Whole.Map;
-  Out.HasInvariants = true;
-  Out.Note = "proved by whole-program invariant map";
-  return true;
+  ResourceScope Scope(RC);
+  bool Proved =
+      escalateToWholeProgram(P, Solver, Opts.Refiner, PIOpts, Whole, Out);
+  Out.Stats.setSynthLearning(PIOpts.Synth.Learner->Stats);
+  return Proved;
 }
 
 /// The first portfolio round's slice length; later rounds double it.
@@ -140,6 +118,9 @@ EngineResult runPortfolio(const Program &P, SmtSolver &Solver,
     return static_cast<uint64_t>(TM.arenaBytes()) + bigIntHeapBytes();
   };
 
+  // The probe and both lanes run at most one whole-program search to
+  // completion between them.
+  WholeProgramSearch Whole;
   Lane Cegar(EngineKind::Cegar, Opts.Limits);
   Lane Pdr(EngineKind::Pdr, Opts.Limits);
   for (Lane *L : {&Cegar, &Pdr}) {
@@ -150,7 +131,7 @@ EngineResult runPortfolio(const Program &P, SmtSolver &Solver,
     ResourceScope Scope(L->RC);
     EngineOptions LaneOpts = Opts;
     LaneOpts.Engine = L->Kind;
-    L->Eng = makeEngine(L->Kind, P, Solver, LaneOpts);
+    L->Eng = makeEngine(L->Kind, P, Solver, LaneOpts, Whole);
   }
 
   // Slices start fine-grained so short jobs decide within one or two
@@ -227,7 +208,8 @@ EngineResult runPortfolio(const Program &P, SmtSolver &Solver,
       ProbeRC.setMemoryProbe(Probe);
       ProbeRC.start();
       EngineResult ProbeResult;
-      if (runWholeProgramProbe(P, Solver, Opts, ProbeRC, ProbeResult)) {
+      if (runWholeProgramProbe(P, Solver, Opts, ProbeRC, Whole,
+                               ProbeResult)) {
         Cegar.RC.cancel();
         Pdr.RC.cancel();
         finalizeEngineResult(ProbeResult, ProbeRC);

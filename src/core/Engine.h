@@ -136,6 +136,13 @@ struct EngineStats {
   uint64_t SynthCombosDeduped = 0;
   uint64_t SynthLemmasReused = 0;
   uint64_t SynthCuts = 0;
+  /// Overwrites the four fields above with \p L's lifetime totals.
+  void setSynthLearning(const SynthLearnStats &L) {
+    SynthNogoods = L.Nogoods;
+    SynthCombosDeduped = L.CombosDeduped;
+    SynthLemmasReused = L.LemmasReused;
+    SynthCuts = L.Cuts;
+  }
   size_t FinalPredicates = 0;
   // PDR engine only: clause-frame lifecycle counters.
   /// Frames opened (frontier level reached + 1).
@@ -181,7 +188,9 @@ struct EngineResult {
   InvariantMap Invariants;
   bool HasInvariants = false;
   EngineStats Stats;
-  std::string Note; ///< Reason for Unknown verdicts (human-readable).
+  /// Human-readable: the mechanism that proved a Safe verdict ("proved by
+  /// whole-program invariant map") or won a race, the reason for Unknown.
+  std::string Note;
   /// Machine-readable exhaustion reason when the ResourceController
   /// tripped: one of "deadline", "memory", "sat_conflicts", "pivots",
   /// "bnb_nodes", "synth_combos", "arg_expansions", "refinements",
@@ -220,10 +229,11 @@ inline void finalizeEngineResult(EngineResult &Result,
 }
 
 /// Constructs the backend \p Kind (Cegar or Pdr; Portfolio is a driver,
-/// not a backend — runEngine handles it) bound to \p P / \p Solver.
+/// not a backend — runEngine handles it) bound to \p P / \p Solver and
+/// to the job's whole-program search \p Whole.
 std::unique_ptr<VerificationEngine>
 makeEngine(EngineKind Kind, const Program &P, SmtSolver &Solver,
-           const EngineOptions &Opts);
+           const EngineOptions &Opts, WholeProgramSearch &Whole);
 
 /// Verifies \p P with the backend Opts.Engine selects, installing a
 /// ResourceController per job (per lane in portfolio mode) and

@@ -103,6 +103,9 @@ std::string pathinv::formatResult(const Program &, const EngineResult &R) {
     Out = "UNKNOWN (" + R.Note + ")";
     break;
   }
+  // Which mechanism decided the verdict (Unknown carries it above).
+  if (R.Verdict != EngineResult::Verdict::Unknown && !R.Note.empty())
+    Out += "\n  note:               " + R.Note;
   if (!R.UnknownReason.empty())
     Out += "\n  unknown reason:     " + R.UnknownReason;
   Out += "\n  refinements:        " + std::to_string(R.Stats.Refinements);

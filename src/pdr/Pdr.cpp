@@ -37,9 +37,11 @@ enum class Step : uint8_t { Ok, Stop };
 /// store-carrying relations), and the CEGAR-shared precision that grows
 /// the pool on refinement.
 struct PdrEngine::Impl {
-  Impl(const Program &P, SmtSolver &Solver, const EngineOptions &Opts)
+  Impl(const Program &P, SmtSolver &Solver, const EngineOptions &Opts,
+       WholeProgramSearch &Whole)
       : P(P), Solver(Solver), Opts(Opts), TM(P.termManager()),
-        FQ(TM), F(P), Incoming(static_cast<size_t>(P.numLocations())) {
+        FQ(TM), F(P), Incoming(static_cast<size_t>(P.numLocations())),
+        Whole(Whole) {
     for (int T = 0; T < P.numTransitions(); ++T)
       Incoming[static_cast<size_t>(P.transition(T).To)].push_back(T);
     rebuildPool();
@@ -84,7 +86,7 @@ struct PdrEngine::Impl {
   std::set<std::tuple<size_t, uint64_t, int>> Queue;
   uint64_t Seq = 0;
 
-  bool TriedWholeProgram = false;
+  WholeProgramSearch &Whole;
   bool Done = false; ///< Terminal (not just slice-paused) outcome.
 
   // -- helpers ------------------------------------------------------------
@@ -177,7 +179,10 @@ struct PdrEngine::Impl {
   Step processNext();
   Step handleCexCandidate(int NodeIdx);
   Step refineSpurious(const Path &Cex);
-  bool tryWholeProgramEscalation();
+  bool escalate() {
+    return escalateToWholeProgram(P, Solver, Opts.Refiner, Opts.PathInv,
+                                  Whole, Result);
+  }
   Step badCheck(bool &Found);
   Step pushPhase();
   Step tryFixpoint();
@@ -320,10 +325,17 @@ Step PdrEngine::Impl::refineSpurious(const Path &Cex) {
     Result.Note = "resources exhausted before refinement";
     return Step::Stop;
   }
-  RefineResult Refined = refine(P, Cex, Result.Predicates, Solver,
-                                Opts.Refiner, Opts.PathInv);
+  // A path program that fails a template level escalates to the
+  // whole-program search before trying the next level.
+  RefineResult Refined =
+      refine(P, Cex, Result.Predicates, Solver, Opts.Refiner, Opts.PathInv,
+             [this] { return escalate(); });
   Result.Stats.LpChecks += Refined.LpChecks;
   Result.Stats.TemplateLevelsTried += Refined.TemplateLevelsTried;
+  if (Result.Verdict == EngineResult::Verdict::Safe) {
+    ++Result.Stats.Refinements;
+    return Step::Stop;
+  }
   if (!Refined.Progress && resourceExhausted()) {
     // Interrupted mid-refinement (slice pause or real exhaustion):
     // report without counting the refinement or consuming the escalation,
@@ -343,7 +355,7 @@ Step PdrEngine::Impl::refineSpurious(const Path &Cex) {
     // Per-path refinement stalled, or contributed only predicates the
     // clause language cannot express (quantified invariants): escalate
     // to one whole-program invariant map — the same ladder CEGAR uses.
-    if (tryWholeProgramEscalation())
+    if (escalate())
       return Step::Stop;
     if (resourceExhausted()) {
       Result.Note = "resources exhausted during refinement";
@@ -363,37 +375,6 @@ Step PdrEngine::Impl::refineSpurious(const Path &Cex) {
   Queue.clear();
   Nodes.clear();
   return Step::Ok;
-}
-
-bool PdrEngine::Impl::tryWholeProgramEscalation() {
-  if (TriedWholeProgram || Opts.Refiner == RefinerKind::PathFormula)
-    return false;
-  if (resourceExhausted())
-    return false; // Keep the one-shot intact: under a tripped controller
-                  // (including a portfolio slice pause) the generation
-                  // could only fail, and a resumed run still needs it.
-  PathInvResult Whole =
-      Opts.Refiner == RefinerKind::PathInvariantIntervals
-          ? generateIntervalInvariants(P, Solver)
-          : generatePathInvariants(P, Solver, Opts.PathInv);
-  Result.Stats.LpChecks += Whole.LpChecks;
-  Result.Stats.TemplateLevelsTried += Whole.LevelsTried;
-  if (!Whole.Found) {
-    // Only a generation that ran to completion proves the map doesn't
-    // exist; an interrupted attempt must stay retryable after resume.
-    TriedWholeProgram = !resourceExhausted();
-    return false;
-  }
-  TriedWholeProgram = true;
-  std::vector<std::pair<LocId, const Term *>> Localized;
-  Whole.Map.collectLocalized(Localized);
-  for (const auto &[Loc, Pred] : Localized)
-    Result.Predicates.add(Loc, Pred);
-  Result.Verdict = EngineResult::Verdict::Safe;
-  Result.Invariants = Whole.Map;
-  Result.HasInvariants = true;
-  Result.Note = "proved by whole-program invariant map";
-  return true;
 }
 
 /// The frontier bad-state check: can any transition into the error
@@ -553,8 +534,8 @@ void PdrEngine::Impl::runLoop() {
 }
 
 PdrEngine::PdrEngine(const Program &P, SmtSolver &Solver,
-                     const EngineOptions &Opts)
-    : I(std::make_unique<Impl>(P, Solver, Opts)) {}
+                     const EngineOptions &Opts, WholeProgramSearch &Whole)
+    : I(std::make_unique<Impl>(P, Solver, Opts, Whole)) {}
 
 PdrEngine::~PdrEngine() = default;
 
@@ -568,11 +549,7 @@ EngineResult PdrEngine::run() {
   I->runLoop();
   I->Result.Stats.PdrFrames = I->F.frontier();
   I->Result.Stats.FinalPredicates = I->Result.Predicates.totalPredicates();
-  const SynthLearnStats &L = I->Opts.PathInv.Synth.Learner->Stats;
-  I->Result.Stats.SynthNogoods = L.Nogoods;
-  I->Result.Stats.SynthCombosDeduped = L.CombosDeduped;
-  I->Result.Stats.SynthLemmasReused = L.LemmasReused;
-  I->Result.Stats.SynthCuts = L.Cuts;
+  I->Result.Stats.setSynthLearning(I->Opts.PathInv.Synth.Learner->Stats);
   ResourceController *RC = ResourceController::active();
   bool Paused = I->Result.Verdict == EngineResult::Verdict::Unknown && RC &&
                 RC->slicePaused();
@@ -589,7 +566,8 @@ EngineResult pathinv::verifyPdr(const Program &P, SmtSolver &Solver,
   });
   RC.start();
   ResourceScope Scope(RC);
-  PdrEngine Engine(P, Solver, Opts);
+  WholeProgramSearch Whole;
+  PdrEngine Engine(P, Solver, Opts, Whole);
   EngineResult Result = Engine.run();
   finalizeEngineResult(Result, RC);
   if (!Result.UnknownReason.empty() && Result.Note.empty())

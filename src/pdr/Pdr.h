@@ -21,8 +21,9 @@
 /// path formula is satisfiable is a real bug (verdict Unsafe, with an
 /// interpreter replay); a spurious one refines the pool through the same
 /// refinement ladder CEGAR uses, escalating to a whole-program invariant
-/// map when per-path refinement stalls (quantified invariants are
-/// outside any clause language over QF atoms). A Safe verdict is
+/// map when the path program fails a template level or per-path
+/// refinement stalls (quantified invariants are outside any clause
+/// language over QF atoms). A Safe verdict is
 /// reported only after the exported invariant map passes the independent
 /// checkInvariantMap validation.
 ///
@@ -37,10 +38,12 @@ namespace pathinv {
 
 /// The PDR backend. Frames, the obligation queue, the predicate pool,
 /// and the solver contexts persist across run() calls, so a slice-paused
-/// job resumes where it stopped.
+/// job resumes where it stopped. \p Whole is the job's whole-program
+/// search, owned by the caller.
 class PdrEngine final : public VerificationEngine {
 public:
-  PdrEngine(const Program &P, SmtSolver &Solver, const EngineOptions &Opts);
+  PdrEngine(const Program &P, SmtSolver &Solver, const EngineOptions &Opts,
+            WholeProgramSearch &Whole);
   ~PdrEngine() override;
 
   const char *name() const override { return "pdr"; }

@@ -14,14 +14,20 @@
 
 using namespace pathinv;
 
-PathInvResult pathinv::generatePathInvariants(const Program &P,
-                                              SmtSolver &Solver,
-                                              const PathInvOptions &Opts) {
+PathInvResult
+pathinv::generatePathInvariants(const Program &P, SmtSolver &Solver,
+                                const PathInvOptions &Opts,
+                                const LevelFailedHook &OnLevelFailed) {
   TermManager &TM = P.termManager();
   PathInvResult Result;
   std::set<LocId> Cuts = computeCutSet(P);
 
   for (int Level = 0; Level <= Opts.MaxTemplateLevel; ++Level) {
+    // Reaching a level above 0 means the one below failed.
+    if (Level > 0 && OnLevelFailed && OnLevelFailed()) {
+      Result.Stopped = true;
+      return Result;
+    }
     ++Result.LevelsTried;
     UnknownPool Pool;
     TemplateMap Templates = proposeTemplates(P, Cuts, Pool, Level);

@@ -30,6 +30,8 @@
 #include "synth/InvariantMap.h"
 #include "synth/Solver.h"
 
+#include <functional>
+
 namespace pathinv {
 
 /// Knobs for path-invariant generation.
@@ -54,11 +56,19 @@ struct PathInvResult {
   /// the job's ResourceController) rather than exhausting the search
   /// space — the escalation ladder keys off this.
   bool ResourceOut = false;
+  /// The LevelFailedHook ended the search before the next level.
+  bool Stopped = false;
 };
+
+/// Called when a template level failed and a higher one is left to try,
+/// before trying it. Returning true ends the search there (Found stays
+/// false, Stopped is set): the caller settled the question another way.
+using LevelFailedHook = std::function<bool()>;
 
 /// Constraint-based backend (the paper's instantiation).
 PathInvResult generatePathInvariants(const Program &P, SmtSolver &Solver,
-                                     const PathInvOptions &Opts = {});
+                                     const PathInvOptions &Opts = {},
+                                     const LevelFailedHook &OnLevelFailed = {});
 
 /// Abstract-interpretation backend (interval domain): succeeds when the
 /// interval fixpoint proves the error location unreachable.

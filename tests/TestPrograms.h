@@ -6,12 +6,14 @@
 ///
 /// \file
 /// The paper's example programs (Section 2) in PIL, shared by tests and
-/// benchmarks.
+/// benchmarks, and the counterexample path of Figure 1(b).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef PATHINV_TESTS_TESTPROGRAMS_H
 #define PATHINV_TESTS_TESTPROGRAMS_H
+
+#include "program/PathFormula.h"
 
 #include <string>
 
@@ -140,6 +142,36 @@ inline std::string sequentialLoops(int K) {
   }
   Src += "}\n";
   return Src;
+}
+
+/// Figure 1(b): the counterexample of \p Forward (the lowered FORWARD
+/// program) that runs the loop body once, then exits and fails the
+/// assertion. Found by BFS: the first error path of at least 10 steps.
+/// Empty when the lowering no longer has such a path.
+inline Path figure1bPath(const Program &Forward) {
+  struct Node {
+    LocId Loc;
+    Path Steps;
+  };
+  std::vector<Node> Queue{{Forward.entry(), {}}};
+  for (size_t Head = 0; Head < Queue.size(); ++Head) {
+    Node Cur = Queue[Head];
+    if (Cur.Loc == Forward.error()) {
+      // Require a path that used the loop (long enough to contain it).
+      if (Cur.Steps.size() >= 10)
+        return Cur.Steps;
+      continue;
+    }
+    if (Cur.Steps.size() >= 16)
+      continue;
+    for (int TransIdx : Forward.successorsOf(Cur.Loc)) {
+      Node Next = Cur;
+      Next.Steps.push_back(TransIdx);
+      Next.Loc = Forward.transition(TransIdx).To;
+      Queue.push_back(std::move(Next));
+    }
+  }
+  return {};
 }
 
 } // namespace pathinv::testprogs

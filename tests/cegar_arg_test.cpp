@@ -8,8 +8,9 @@
 /// The lazy-abstraction reachability engine: per-location precision
 /// scoping, graph-wide covering and forced covering, subtree-scoped
 /// refinement reuse (pinned to exact expansion and refinement counts),
-/// ARG well-formedness invariants, and the verdict plus replayed witness
-/// of all six paper programs.
+/// ARG well-formedness invariants, the verdict plus replayed witness of
+/// all six paper programs, and the escalation to a whole-program
+/// invariant map (pinned to exact LP-check counts).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 
 using namespace pathinv;
@@ -204,16 +207,109 @@ TEST(ArgReuseTest, RefinementReusesUnaffectedSubtrees) {
 }
 
 TEST(ArgReuseTest, ForwardConvergesWithCoveringAndForcedCovers) {
+  // A FORWARD-shaped fuzz program whose ARG runs to a fixpoint (FORWARD
+  // itself is proved by the whole-program map before its ARG converges).
+  std::ifstream In(PATHINV_EXAMPLES_DIR "/fuzz_forward_safe.pil");
+  ASSERT_TRUE(In.good());
+  std::ostringstream Source;
+  Source << In.rdbuf();
   Verifier V;
-  auto R = V.verifySource(testprogs::Forward);
+  auto R = V.verifySource(Source.str());
   ASSERT_TRUE(R.hasValue());
   EXPECT_EQ(R.get().Verdict, EngineResult::Verdict::Safe);
-  // FORWARD's loop closes through graph-wide covering, and refinements
-  // leave reusable expanded nodes behind; at least one stale leaf is
+  EXPECT_EQ(R.get().Note, "proved by ARG fixpoint");
+  // The loop closes through graph-wide covering, and refinements leave
+  // reusable expanded nodes behind; at least one stale leaf is
   // strengthened into a cover instead of being expanded.
   EXPECT_GT(R.get().Stats.NodesCovered, 0u);
   EXPECT_GT(R.get().Stats.NodesReused, 0u);
   EXPECT_GT(R.get().Stats.ForcedCovers, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Whole-program escalation
+//===----------------------------------------------------------------------===//
+
+TEST(WholeProgramEscalationTest, EscalatesAtTheFirstFailedTemplateLevel) {
+  // A path program that fails a template level escalates to the
+  // whole-program search before trying the next level. LP checks are
+  // deterministic, and they count the failed path level as well as the
+  // whole-program search, so the escalation point is pinned exactly.
+  struct Pin {
+    const char *Name;
+    const char *Source;
+    uint64_t LpChecks;
+  };
+  const Pin Pins[] = {
+      {"partition", testprogs::Partition, 31196},
+      {"init_check", testprogs::InitCheck, 10306},
+      {"forward", testprogs::Forward, 283},
+  };
+  for (const Pin &C : Pins) {
+    Verifier V;
+    auto R = V.verifySource(C.Source);
+    ASSERT_TRUE(R.hasValue()) << C.Name;
+    EXPECT_EQ(R.get().Verdict, EngineResult::Verdict::Safe) << C.Name;
+    EXPECT_TRUE(R.get().HasInvariants) << C.Name;
+    EXPECT_EQ(R.get().Note, "proved by whole-program invariant map")
+        << C.Name;
+    EXPECT_EQ(R.get().Stats.LpChecks, C.LpChecks) << C.Name;
+  }
+}
+
+TEST(WholeProgramEscalationTest, CompletedSearchIsNeverRepeated) {
+  // An unsafe program has no safe invariant map: the search fails at
+  // every template level, and having completed, it is not run again.
+  TermManager TM;
+  auto P = loadProgram(TM, testprogs::ScalarBug);
+  ASSERT_TRUE(P.hasValue());
+  SmtSolver Solver(TM);
+  WholeProgramSearch Search;
+  EngineResult First;
+  EXPECT_FALSE(escalateToWholeProgram(P.get(), Solver,
+                                      RefinerKind::PathInvariant, {}, Search,
+                                      First));
+  EXPECT_TRUE(Search.Completed);
+  EXPECT_GT(First.Stats.LpChecks, 0u);
+
+  EngineResult Second;
+  EXPECT_FALSE(escalateToWholeProgram(P.get(), Solver,
+                                      RefinerKind::PathInvariant, {}, Search,
+                                      Second));
+  EXPECT_EQ(Second.Stats.LpChecks, 0u);
+  EXPECT_EQ(Second.Stats.TemplateLevelsTried, 0u);
+}
+
+TEST(WholeProgramEscalationTest, InterruptedSearchStaysRetryable) {
+  // A search cut short by a tripped controller proves nothing, so the
+  // next request searches again, and finds FORWARD's map.
+  TermManager TM;
+  auto P = loadProgram(TM, testprogs::Forward);
+  ASSERT_TRUE(P.hasValue());
+  SmtSolver Solver(TM);
+  WholeProgramSearch Search;
+  {
+    ResourceLimits Tight;
+    Tight.SynthCombos = 1;
+    ResourceController RC(Tight);
+    RC.start();
+    ResourceScope Scope(RC);
+    EngineResult Interrupted;
+    EXPECT_FALSE(escalateToWholeProgram(P.get(), Solver,
+                                        RefinerKind::PathInvariant, {},
+                                        Search, Interrupted));
+    EXPECT_TRUE(RC.exhausted());
+    EXPECT_FALSE(Search.Completed);
+  }
+  EngineResult Retry;
+  EXPECT_TRUE(escalateToWholeProgram(P.get(), Solver,
+                                     RefinerKind::PathInvariant, {}, Search,
+                                     Retry));
+  EXPECT_TRUE(Search.Completed);
+  EXPECT_GT(Retry.Stats.LpChecks, 0u);
+  EXPECT_EQ(Retry.Verdict, EngineResult::Verdict::Safe);
+  EXPECT_TRUE(Retry.HasInvariants);
+  EXPECT_EQ(Retry.Note, "proved by whole-program invariant map");
 }
 
 //===----------------------------------------------------------------------===//

@@ -13,7 +13,9 @@
 //   2. A fixed-seed sweep of 200 programs through all three engines must
 //      produce zero adjudication bugs: no wrong verdicts, no cross-engine
 //      Safe/Unsafe disagreement, every Unsafe witness replayed, every
-//      Safe certificate independently validated.
+//      Safe certificate independently validated. It runs as four 50-seed
+//      blocks, each its own ctest case, so `ctest -j` runs them in
+//      parallel.
 //   3. The minimizer converges: accepted edits strictly shrink a
 //      well-founded metric, the result still fails, and re-minimizing is
 //      a no-op (fixpoint).
@@ -41,6 +43,11 @@ namespace {
 // the exhaustive interpreter confirmation stays fast even under
 // sanitizers; the big sweep below covers the full 200-seed block.
 constexpr uint64_t SelfCheckSeeds = 60;
+
+// The sweep's seeds 1..200, as SweepBlocks blocks of SweepBlockSeeds.
+// tests/CMakeLists.txt registers one ctest case per block.
+constexpr int SweepBlocks = 4;
+constexpr int SweepBlockSeeds = 50;
 
 TEST(FuzzGenerator, DeterministicBytes) {
   for (uint64_t S = 1; S <= SelfCheckSeeds; ++S) {
@@ -102,17 +109,19 @@ TEST(FuzzGenerator, GroundTruthSelfCheck) {
 
 // The acceptance gate: the full fixed-seed block through all three
 // engines, witness-exact adjudication, zero tolerated disagreements.
-TEST(FuzzOracle, FixedSeedSweepHasZeroBugs) {
+class FuzzOracleSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(FuzzOracleSweep, HasZeroBugs) {
   SweepOptions Opts;
-  Opts.FirstSeed = 1;
-  Opts.Count = 200;
+  Opts.FirstSeed = 1 + static_cast<uint64_t>(GetParam()) * SweepBlockSeeds;
+  Opts.Count = SweepBlockSeeds;
   // Tight wall backstop: deadline-bound cases resolve to a cheap Unknown
   // (never a bug) instead of burning 30 s per engine, which keeps the
   // sweep inside the sanitized-CI timeout. The step budgets stay at the
   // oracle defaults, so the adjudicated verdicts are deterministic.
   Opts.Oracle.Budget.TimeoutSeconds = 5;
   SweepResult Res = runSweep(Opts);
-  EXPECT_EQ(Res.Programs, 200);
+  EXPECT_EQ(Res.Programs, SweepBlockSeeds);
   EXPECT_EQ(Res.ExpectedSafe + Res.ExpectedUnsafe, Res.Programs);
   for (const OracleReport &Rep : Res.BugReports) {
     for (const std::string &Bug : Rep.Bugs)
@@ -127,6 +136,9 @@ TEST(FuzzOracle, FixedSeedSweepHasZeroBugs) {
   EXPECT_GT(Res.SafeVerdicts, 0);
   EXPECT_GT(Res.UnsafeVerdicts, 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(FixedSeedBlock, FuzzOracleSweep,
+                         ::testing::Range(0, SweepBlocks));
 
 TEST(FuzzMinimizer, ConvergesAndPreservesFailure) {
   // First confirmed-unsafe seed in the block; minimize under the

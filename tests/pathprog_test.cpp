@@ -147,32 +147,9 @@ TEST(PathProgramTest, ForwardCounterexampleYieldsLoopingPathProgram) {
   ASSERT_TRUE(P.hasValue());
   const Program &Prog = P.get();
 
-  // Build the Figure 1(b) counterexample: one loop iteration through the
-  // then-branch, then exit and fail the assertion. Find it by BFS to the
-  // error with exactly one traversal of the loop body.
-  struct Node {
-    LocId Loc;
-    Path Steps;
-  };
-  Path Found;
-  std::vector<Node> Queue{{Prog.entry(), {}}};
-  for (size_t Head = 0; Head < Queue.size() && Found.empty(); ++Head) {
-    Node Cur = Queue[Head];
-    if (Cur.Loc == Prog.error()) {
-      // Require a path that used the loop (long enough to contain it).
-      if (Cur.Steps.size() >= 10)
-        Found = Cur.Steps;
-      continue;
-    }
-    if (Cur.Steps.size() >= 16)
-      continue;
-    for (int TransIdx : Prog.successorsOf(Cur.Loc)) {
-      Node Next = Cur;
-      Next.Steps.push_back(TransIdx);
-      Next.Loc = Prog.transition(TransIdx).To;
-      Queue.push_back(std::move(Next));
-    }
-  }
+  // The Figure 1(b) counterexample: one loop iteration, then exit and
+  // fail the assertion.
+  Path Found = testprogs::figure1bPath(Prog);
   ASSERT_FALSE(Found.empty());
 
   PathProgram PP = buildPathProgram(Prog, Found);
@@ -190,6 +167,10 @@ TEST(PathProgramTest, ForwardCounterexampleYieldsLoopingPathProgram) {
   // infeasible (the family of spurious counterexamples): check the two
   // shortest.
   SmtSolver Solver(TM);
+  struct Node {
+    LocId Loc;
+    Path Steps;
+  };
   std::vector<Path> ErrorPaths;
   std::vector<Node> Queue2{{PP.Prog.entry(), {}}};
   for (size_t Head = 0; Head < Queue2.size() && ErrorPaths.size() < 2;

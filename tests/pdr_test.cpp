@@ -208,6 +208,38 @@ TEST(PdrEngineTest, ReportsFrameStatistics) {
   EXPECT_GT(R.get().Stats.PdrClausesLearned, 0u);
 }
 
+TEST(PdrEngineTest, EscalatesAtTheFirstFailedTemplateLevel) {
+  // A spurious candidate whose path program fails a template level
+  // escalates to the whole-program search before the next level.
+  // PARTITION's path synthesis fails before any level, so its proof still
+  // comes from the no-progress escalation. LP checks (failed path levels
+  // included) and obligations are deterministic and pinned exactly.
+  struct Pin {
+    const char *Name;
+    const char *Source;
+    uint64_t LpChecks;
+    uint64_t Obligations;
+  };
+  const Pin Pins[] = {
+      {"partition", testprogs::Partition, 21545, 428},
+      {"init_check", testprogs::InitCheck, 10306, 43},
+      {"forward", testprogs::Forward, 279, 372},
+  };
+  for (const Pin &C : Pins) {
+    EngineOptions Opts;
+    Opts.Engine = EngineKind::Pdr;
+    Verifier V(Opts);
+    auto R = V.verifySource(C.Source);
+    ASSERT_TRUE(R.hasValue()) << C.Name;
+    EXPECT_EQ(R.get().Verdict, EngineResult::Verdict::Safe) << C.Name;
+    EXPECT_TRUE(R.get().HasInvariants) << C.Name;
+    EXPECT_EQ(R.get().Note, "proved by whole-program invariant map")
+        << C.Name;
+    EXPECT_EQ(R.get().Stats.LpChecks, C.LpChecks) << C.Name;
+    EXPECT_EQ(R.get().Stats.PdrObligations, C.Obligations) << C.Name;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Three-way differential: cegar, pdr, portfolio agree everywhere
 //===----------------------------------------------------------------------===//

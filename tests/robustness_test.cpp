@@ -153,7 +153,7 @@ TEST(ResourceControllerTest, BudgetOfNAdmitsExactlyNSteps) {
 }
 
 TEST(RobustnessTest, RefinementBudgetOfOneRunsOneRefinement) {
-  // FORWARD needs three refinements; a budget of one runs exactly one.
+  // FORWARD needs two refinements; a budget of one runs exactly one.
   Verifier V;
   V.options().Limits.Refinements = 1;
   EngineResult R = runOnce(V, testprogs::Forward);

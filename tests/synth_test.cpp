@@ -356,6 +356,30 @@ TEST_F(SynthFixture, ForwardInvariantMapVerifies) {
   EXPECT_TRUE(Check.Ok) << Check.FailureReason;
 }
 
+TEST_F(SynthFixture, ForwardFigure1bPathInvariant) {
+  // Section 2.1: the path program of FORWARD's Figure 1(b) counterexample
+  // has the path invariant a + b = 3i at its loop cutpoint. The equality
+  // template (level 0) fails and level 1 finds it; that failed level is
+  // where the engines escalate to the whole program instead.
+  Program P = load(testprogs::Forward);
+  Path Cex = testprogs::figure1bPath(P);
+  ASSERT_FALSE(Cex.empty());
+  PathProgram PP = buildPathProgram(P, Cex);
+  PathInvResult R = generatePathInvariants(PP.Prog, Solver);
+  ASSERT_TRUE(R.Found) << R.FailureReason;
+  EXPECT_EQ(R.LevelUsed, 1);
+  // The one cutpoint besides entry and error: the loop head's hat copy.
+  std::set<LocId> Cuts = computeCutSet(PP.Prog);
+  Cuts.erase(PP.Prog.entry());
+  Cuts.erase(PP.Prog.error());
+  ASSERT_EQ(Cuts.size(), 1u);
+  LocId Loop = *Cuts.begin();
+  EXPECT_TRUE(PP.LocInfo[Loop].IsHat);
+  const Term *Target = parseFormula(TM, "a + b = 3*i").get();
+  EXPECT_TRUE(entailsWithQuant(TM, Solver, R.Map.at(TM, Loop), Target))
+      << R.Map.dump(PP.Prog);
+}
+
 TEST_F(SynthFixture, InitcheckQuantifiedInvariant) {
   Program P = load(testprogs::InitCheck);
   PathInvResult R = generatePathInvariants(P, Solver);
