@@ -121,6 +121,7 @@ bool escalateBudgetedRefinement(const Program &P, const Path &Cex,
                               Opts.PathInv);
   Result.Stats.LpChecks += Retry.LpChecks;
   Result.Stats.TemplateLevelsTried += Retry.TemplateLevelsTried;
+  Result.Stats.addSynthLearning(Retry.Learn);
   if (!Retry.Progress)
     return false;
   Refined.Progress = true;
@@ -155,14 +156,7 @@ struct CegarEngine::Impl {
   Impl(const Program &P, SmtSolver &Solver, const EngineOptions &Opts,
        WholeProgramSearch &Whole)
       : P(P), Solver(Solver), Opts(Opts), PathChecker(P.termManager()),
-        Reach(P, Result.Predicates, Solver), Whole(Whole) {
-    // One persistent synthesis learner per job: combo verdicts survive
-    // across refinement-interval retries, whole-program escalations, and
-    // slice-paused resumes (Opts is held by value, so the pointer stays
-    // stable for the engine's lifetime).
-    if (!this->Opts.PathInv.Synth.Learner)
-      this->Opts.PathInv.Synth.Learner = &Learner;
-  }
+        Reach(P, Result.Predicates, Solver), Whole(Whole) {}
 
   const Program &P;
   SmtSolver &Solver;
@@ -172,9 +166,6 @@ struct CegarEngine::Impl {
   /// the live precision the ARG labels against.
   EngineResult Result;
   ReachEngine Reach;
-  /// Persistent conflict-learning state of every synthesis search this
-  /// job runs (whole-program probes included).
-  SynthLearner Learner;
   WholeProgramSearch &Whole;
   bool Done = false; ///< Terminal (not just slice-paused) outcome reached.
 
@@ -272,6 +263,7 @@ void CegarEngine::Impl::runLoop() {
                [this] { return escalate(); });
     Result.Stats.LpChecks += Refined.LpChecks;
     Result.Stats.TemplateLevelsTried += Refined.TemplateLevelsTried;
+    Result.Stats.addSynthLearning(Refined.Learn);
     if (Result.Verdict == EngineResult::Verdict::Safe) {
       ++Result.Stats.Refinements;
       return finish();
@@ -329,9 +321,6 @@ EngineResult CegarEngine::run() {
   bool Paused = I->Result.Verdict == EngineResult::Verdict::Unknown && RC &&
                 RC->slicePaused();
   I->Done = !Paused;
-  // Learner lifetime totals (overwritten each exit, like the other
-  // persistent-context counters).
-  I->Result.Stats.setSynthLearning(I->Opts.PathInv.Synth.Learner->Stats);
   return I->Result;
 }
 

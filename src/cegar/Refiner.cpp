@@ -177,6 +177,7 @@ RefineResult pathinv::refine(const Program &P, const Path &Cex,
           : generatePathInvariants(PP.Prog, Solver, Opts, OnLevelFailed);
   Result.TemplateLevelsTried = Inv.LevelsTried;
   Result.LpChecks = Inv.LpChecks;
+  Result.Learn = Inv.Learn;
   if (Inv.Stopped)
     return Result;
 
@@ -188,6 +189,7 @@ RefineResult pathinv::refine(const Program &P, const Path &Cex,
     Fallback.ResourceOut = Inv.ResourceOut;
     Fallback.TemplateLevelsTried = Result.TemplateLevelsTried;
     Fallback.LpChecks = Result.LpChecks;
+    Fallback.Learn = Result.Learn;
     return Fallback;
   }
 
@@ -216,6 +218,7 @@ bool pathinv::escalateToWholeProgram(const Program &P, SmtSolver &Solver,
                             : generatePathInvariants(P, Solver, Opts);
   Result.Stats.LpChecks += Whole.LpChecks;
   Result.Stats.TemplateLevelsTried += Whole.LevelsTried;
+  Result.Stats.addSynthLearning(Whole.Learn);
   // Only a search that ran to completion proves the map does not exist.
   Search.Completed = Whole.Found || !resourceExhausted();
   if (!Whole.Found)

@@ -45,6 +45,7 @@ struct RefineResult {
                              ///< single-path baseline predicates were used.
   int TemplateLevelsTried = 0;
   uint64_t LpChecks = 0;
+  SynthLearnStats Learn;
   /// Path-invariant synthesis stopped on a resource limit rather than
   /// exhausting its search space. The engine's escalation ladder retries
   /// such refinements once with the cheaper interval backend before
@@ -92,9 +93,9 @@ struct WholeProgramSearch {
 /// refine() hook) and when per-path refinement stalls; the portfolio
 /// probe calls it once for both lanes. Does nothing once \p Search has
 /// completed, under a tripped controller, or for the PathFormula refiner.
-/// Counts the search's LP checks and template levels into Result.Stats;
-/// a verified map ends \p Result Safe with that map as its certificate
-/// and the note "proved by whole-program invariant map".
+/// Counts the search's LP checks, template levels and learning work into
+/// Result.Stats; a verified map ends \p Result Safe with that map as its
+/// certificate and the note "proved by whole-program invariant map".
 /// \returns true when it proved Safe.
 bool escalateToWholeProgram(const Program &P, SmtSolver &Solver,
                             RefinerKind Kind, const PathInvOptions &Opts,

@@ -85,18 +85,9 @@ struct Lane {
 bool runWholeProgramProbe(const Program &P, SmtSolver &Solver,
                           const EngineOptions &Opts, ResourceController &RC,
                           WholeProgramSearch &Whole, EngineResult &Out) {
-  // The probe's searches share a learner across template levels (the
-  // escalation ladder re-derives many of the same combos), local to the
-  // probe unless the caller wired a persistent one.
-  SynthLearner ProbeLearner;
-  PathInvOptions PIOpts = Opts.PathInv;
-  if (!PIOpts.Synth.Learner)
-    PIOpts.Synth.Learner = &ProbeLearner;
   ResourceScope Scope(RC);
-  bool Proved =
-      escalateToWholeProgram(P, Solver, Opts.Refiner, PIOpts, Whole, Out);
-  Out.Stats.setSynthLearning(PIOpts.Synth.Learner->Stats);
-  return Proved;
+  return escalateToWholeProgram(P, Solver, Opts.Refiner, Opts.PathInv, Whole,
+                                Out);
 }
 
 /// The first portfolio round's slice length; later rounds double it.

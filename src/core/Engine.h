@@ -129,19 +129,19 @@ struct EngineStats {
   uint64_t LpChecks = 0;
   uint64_t Fallbacks = 0;
   uint64_t TemplateLevelsTried = 0;
-  // Conflict learning inside the synthesis search (the engine owns one
-  // persistent SynthLearner; these are its lifetime totals, so reuse
-  // across template levels, Farkas scopes, and restarts is visible here).
+  // Run-local conflict learning inside the synthesis searches, summed
+  // over every search of the run (see SynthLearnStats).
   uint64_t SynthNogoods = 0;
   uint64_t SynthCombosDeduped = 0;
+  /// Always 0: no synthesis knowledge is reused across searches. Kept
+  /// because perfbench reports it as `synth.lemmas_reused`.
   uint64_t SynthLemmasReused = 0;
   uint64_t SynthCuts = 0;
-  /// Overwrites the four fields above with \p L's lifetime totals.
-  void setSynthLearning(const SynthLearnStats &L) {
-    SynthNogoods = L.Nogoods;
-    SynthCombosDeduped = L.CombosDeduped;
-    SynthLemmasReused = L.LemmasReused;
-    SynthCuts = L.Cuts;
+  /// Adds one refinement's or search's learning deltas \p L.
+  void addSynthLearning(const SynthLearnStats &L) {
+    SynthNogoods += L.Nogoods;
+    SynthCombosDeduped += L.CombosDeduped;
+    SynthCuts += L.Cuts;
   }
   size_t FinalPredicates = 0;
   // PDR engine only: clause-frame lifecycle counters.

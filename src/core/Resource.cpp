@@ -85,12 +85,21 @@ void ResourceController::setActive(ResourceController *RC) {
 }
 
 void ResourceController::start() {
-  if (Limits.TimeoutSeconds > 0) {
-    Deadline = std::chrono::steady_clock::now() +
-               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(Limits.TimeoutSeconds));
-    DeadlineArmed = true;
-  }
+  using Clock = std::chrono::steady_clock;
+  if (!(Limits.TimeoutSeconds > 0))
+    return;
+  Clock::time_point Now = Clock::now();
+  // The clock's ticks run out about 292 years after its epoch; converting
+  // a longer timeout would overflow. A deadline the clock cannot
+  // represent is no deadline. The one-second margin absorbs the rounding
+  // of the double conversions.
+  double Headroom =
+      std::chrono::duration<double>(Clock::time_point::max() - Now).count();
+  if (!(Limits.TimeoutSeconds < Headroom - 1.0))
+    return;
+  Deadline = Now + std::chrono::duration_cast<Clock::duration>(
+                       std::chrono::duration<double>(Limits.TimeoutSeconds));
+  DeadlineArmed = true;
 }
 
 void ResourceController::cancel(ResourceKind Reason) {

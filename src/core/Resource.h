@@ -146,7 +146,8 @@ public:
   explicit ResourceController(const ResourceLimits &Limits = {});
 
   /// Arms the wall-clock deadline relative to now. Charges before start()
-  /// enforce step budgets but not the deadline.
+  /// enforce step budgets but not the deadline. A timeout too long for
+  /// the clock to represent arms no deadline.
   void start();
 
   /// Charges \p Delta steps of the step kind \p Kind before they run. A

@@ -143,8 +143,7 @@ std::string pathinv::formatResult(const Program &, const EngineResult &R) {
   Out += "\n  synthesis LPs:      " + std::to_string(R.Stats.LpChecks);
   Out += "\n  synthesis learning: " + std::to_string(R.Stats.SynthNogoods) +
          " nogood prunes, " + std::to_string(R.Stats.SynthCombosDeduped) +
-         " combos deduped, " + std::to_string(R.Stats.SynthLemmasReused) +
-         " lemmas reused, " + std::to_string(R.Stats.SynthCuts) + " cuts";
+         " combos deduped, " + std::to_string(R.Stats.SynthCuts) + " cuts";
   Out += "\n  predicates:         " +
          std::to_string(R.Stats.FinalPredicates);
   // PDR backend counters (zero unless the pdr or portfolio engine ran).

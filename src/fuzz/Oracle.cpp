@@ -7,7 +7,9 @@
 // Witness-exact adjudication, never majority vote: an Unsafe verdict must
 // replay its witness to the error location on the solver-free interpreter;
 // a Safe verdict must carry an invariant map that checkInvariantMap
-// re-validates here, in the oracle, against a freshly lowered program.
+// re-validates here, in the oracle, on a fresh stack: the serialized
+// certificate is parsed into a freshly lowered program and checked with
+// a new Verifier's solver, as pathinv-check does.
 // Unknown is never a bug (exhaustion is never a verdict), but a definitive
 // verdict that contradicts the constructed ground truth or its own
 // evidence is — with the seed attached for reproduction.
@@ -23,6 +25,23 @@ using namespace pathinv;
 using namespace pathinv::fuzz;
 
 namespace {
+
+/// Checks \p Cert against \p Source in a new Verifier, sharing no program,
+/// term or solver state with the engine that produced it. \returns the
+/// failure, or the empty string when the certificate holds.
+std::string recheckCertificate(const std::string &Source,
+                               const std::string &Cert) {
+  Verifier Fresh;
+  Expected<Program> P = Fresh.loadSource(Source);
+  if (!P)
+    return "source failed to reload: " + P.error().render();
+  Expected<InvariantMap> Map = parseCertificate(P.get(), Cert);
+  if (!Map)
+    return "certificate does not parse: " + Map.error().render();
+  InvariantCheckResult Check =
+      checkInvariantMap(P.get(), Map.get(), Fresh.solver());
+  return Check.Ok ? std::string() : Check.FailureReason;
+}
 
 void runOneEngine(EngineKind Kind, uint64_t Seed, bool ExpectSafe,
                   const std::string &Source, const OracleOptions &Opts,
@@ -74,12 +93,12 @@ void runOneEngine(EngineKind Kind, uint64_t Seed, bool ExpectSafe,
     }
     // Re-validate in the oracle: the engine's own validation does not
     // count as evidence for the engine.
-    InvariantCheckResult Check =
-        checkInvariantMap(P.get(), R.Invariants, V.solver());
-    Run.CertificateValidated = Check.Ok;
-    if (!Check.Ok)
+    std::string Failure = recheckCertificate(
+        Source, serializeCertificate(P.get(), R.Invariants));
+    Run.CertificateValidated = Failure.empty();
+    if (!Failure.empty())
       Rep.Bugs.push_back(Tag + ": Safe certificate failed validation: " +
-                         Check.FailureReason);
+                         Failure);
     break;
   }
   case EngineResult::Verdict::Unknown:

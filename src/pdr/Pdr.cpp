@@ -45,11 +45,6 @@ struct PdrEngine::Impl {
     for (int T = 0; T < P.numTransitions(); ++T)
       Incoming[static_cast<size_t>(P.transition(T).To)].push_back(T);
     rebuildPool();
-    // Persistent conflict-learning state for the synthesis searches of
-    // refineSpurious and the whole-program escalation (Opts is a copy, so
-    // the pointer stays valid for the engine's lifetime).
-    if (!this->Opts.PathInv.Synth.Learner)
-      this->Opts.PathInv.Synth.Learner = &Learner;
   }
 
   const Program &P;
@@ -59,9 +54,6 @@ struct PdrEngine::Impl {
   smt::FrameQueryContext FQ;
   Frames F;
   EngineResult Result;
-  /// Conflict-learning state shared by every synthesis search this job
-  /// runs; combo verdicts persist across refinement rounds.
-  SynthLearner Learner;
 
   /// The cube language: quantifier-free, store-free atoms over unprimed
   /// variables, harvested from the transition relations and from every
@@ -332,6 +324,7 @@ Step PdrEngine::Impl::refineSpurious(const Path &Cex) {
              [this] { return escalate(); });
   Result.Stats.LpChecks += Refined.LpChecks;
   Result.Stats.TemplateLevelsTried += Refined.TemplateLevelsTried;
+  Result.Stats.addSynthLearning(Refined.Learn);
   if (Result.Verdict == EngineResult::Verdict::Safe) {
     ++Result.Stats.Refinements;
     return Step::Stop;
@@ -549,7 +542,6 @@ EngineResult PdrEngine::run() {
   I->runLoop();
   I->Result.Stats.PdrFrames = I->F.frontier();
   I->Result.Stats.FinalPredicates = I->Result.Predicates.totalPredicates();
-  I->Result.Stats.setSynthLearning(I->Opts.PathInv.Synth.Learner->Stats);
   ResourceController *RC = ResourceController::active();
   bool Paused = I->Result.Verdict == EngineResult::Verdict::Unknown && RC &&
                 RC->slicePaused();

@@ -90,11 +90,12 @@ bool pathinv::serve::parseRequest(const std::string &Line, JobRequest &Out,
   }
   Out.Limits.TimeoutSeconds = TimeoutS;
   int64_t MemoryMb = J.intOr("memory_mb", 0);
-  if (MemoryMb < 0) {
-    Error = "memory_mb must be >= 0";
+  if (MemoryMb < 0 || static_cast<uint64_t>(MemoryMb) > (UINT64_MAX >> 20)) {
+    Error = "memory_mb must be in [0, " + std::to_string(UINT64_MAX >> 20) +
+            "]";
     return false;
   }
-  Out.Limits.MemoryBytes = static_cast<uint64_t>(MemoryMb) * 1024 * 1024;
+  Out.Limits.MemoryBytes = static_cast<uint64_t>(MemoryMb) << 20;
   if (const Json *Budgets = J.find("budgets")) {
     if (!Budgets->isObject()) {
       Error = "\"budgets\" must be an object";

@@ -64,19 +64,13 @@ public:
   Search(UnknownPool &Pool, const std::vector<Condition> &Conditions,
          const SynthOptions &Opts)
       : Pool(Pool), Conditions(Conditions), Opts(Opts),
-        Budget(Opts.MaxLpChecks) {
-    if (Opts.Learning) {
-      Learner = Opts.Learner ? Opts.Learner : &LocalLearner;
-      Learner->beginRun();
-    }
-  }
+        Budget(Opts.MaxLpChecks) {}
 
   SynthResult run() {
     SynthResult Result;
     prepare();
     assignComboIds();
     installRootCuts();
-    enterBranchTrie();
     // Fail-first: conditions with the fewest ways to discharge go first.
     std::vector<size_t> Order(Prepared.size());
     for (size_t I = 0; I < Order.size(); ++I)
@@ -105,7 +99,7 @@ public:
     }
     Result.ResourceOut = Budget == 0;
     Result.LpChecks = LpChecks;
-    Result.Learn = RunStats;
+    Result.Learn = Learned;
     return Result;
   }
 
@@ -170,36 +164,6 @@ private:
     return true;
   }
 
-  /// Decides (and counts) the local feasibility of an enumerated leaf,
-  /// consulting the learner's verdict cache first. A cache hit skips the
-  /// scratch LP entirely: within the run that is dedup, across runs it is
-  /// a reused lemma (the knowledge survived a Farkas scope teardown).
-  bool comboLocallyFeasible(const std::vector<PolyConstraint> &Cs,
-                            const ComboFp *Fp) {
-    if (Learner && Fp) {
-      auto It = Learner->Combos.find(*Fp);
-      if (It != Learner->Combos.end()) {
-        if (It->second.Epoch < Learner->epoch()) {
-          ++RunStats.LemmasReused;
-          ++Learner->Stats.LemmasReused;
-        } else {
-          ++RunStats.CombosDeduped;
-          ++Learner->Stats.CombosDeduped;
-        }
-        return It->second.Feasible;
-      }
-    }
-    LpState Local;
-    bool Feasible = lpAddCheck(Local, Cs, 0, nullptr);
-    // A budget trip mid-check yields a spurious "infeasible" — never
-    // cache it (the unwind path ends the run before the verdict is used).
-    if (Learner && Fp && Budget != 0 && !Learner->cacheFull())
-      Learner->Combos.emplace(*Fp,
-                              SynthLearner::CacheEntry{Feasible,
-                                                       Learner->epoch()});
-    return Feasible;
-  }
-
   /// Enumerates the bilinear multipliers of one alternative's encoding,
   /// keeping each locally feasible linearization as a combo. \p CondSeen
   /// carries the condition-scoped dedup keys already admitted across the
@@ -232,31 +196,17 @@ private:
           if (Out.Combos.size() >= Cap || Budget == 0)
             return;
           if (Idx == Quad.size()) {
-            ++LeafDecisions;
-            Combo C;
-            C.MultValues = Assignment;
-            C.Constraints = Cs;
-            ComboFp Fp;
-            if (Learner) {
-              // One allocation-free hash serves both caches: the
-              // raw-param canonical identity decides which combos are
-              // interchangeable *choices* within the condition, and
-              // (being a refinement of the renaming-invariant combo
-              // identity) is also a sound key for the
-              // isolated-feasibility verdict cache.
-              Fp = hashCombo(C.Constraints, Pool);
-              if (!CondSeen.insert(Fp).second) {
-                // A sibling alternative (or multiplier assignment) already
-                // contributes this exact linearization to the condition.
-                ++RunStats.CombosDeduped;
-                ++Learner->Stats.CombosDeduped;
-                return;
-              }
+            if (Opts.Learning &&
+                !CondSeen.insert(hashCombo(Cs, Pool)).second) {
+              // A sibling alternative (or multiplier assignment) already
+              // contributes this exact linearization to the condition.
+              ++Learned.CombosDeduped;
+              return;
             }
-            // Local LP filter (cache-backed when learning).
-            if (comboLocallyFeasible(C.Constraints,
-                                     Learner ? &Fp : nullptr))
-              Out.Combos.push_back(std::move(C));
+            // Local LP filter.
+            LpState Local;
+            if (lpAddCheck(Local, Cs, 0, nullptr))
+              Out.Combos.push_back({Cs, Assignment});
             return;
           }
           int Id = Quad[Idx];
@@ -290,10 +240,9 @@ private:
   void prepare() {
     Prepared.resize(Conditions.size());
     for (size_t I = 0; I < Conditions.size(); ++I) {
-      // Encode every alternative up front: the encodings are the
-      // prepared-condition cache key, and a hit still needs the pool to
-      // mint the same multiplier ids the stored combos reference —
-      // which the key's raw serialization guarantees it just did.
+      // Encode every alternative up front: hashCombo numbers private
+      // multipliers from Pool.size(), which must not move while the
+      // condition's combos are compared.
       std::vector<std::vector<PolyConstraint>> Encodings;
       Encodings.reserve(Conditions[I].Alternatives.size());
       for (const ConditionAlternative &Alt : Conditions[I].Alternatives) {
@@ -304,70 +253,10 @@ private:
         }
         Encodings.push_back(std::move(Encoded));
       }
-      std::string Key;
-      if (Learner) {
-        Key += 'B';
-        Key += std::to_string(Opts.MultiplierBound);
-        for (const std::vector<PolyConstraint> &Encoded : Encodings) {
-          Key += '|';
-          for (const PolyConstraint &PC : Encoded)
-            rawKeyConstraint(PC, Pool, Key);
-        }
-        if (restoreCondition(Key, Prepared[I]))
-          continue;
-        if (Budget == 0)
-          return;
-      }
-      uint64_t LeavesBefore = LeafDecisions;
       std::unordered_set<ComboFp, ComboFpHash> CondSeen;
       for (const std::vector<PolyConstraint> &Encoded : Encodings)
         enumerateCombos(Encoded, Prepared[I], CondSeen);
-      if (Learner && Budget != 0 && !Learner->conditionCacheFull()) {
-        SynthLearner::ConditionEntry Entry;
-        Entry.LeafDecisions = LeafDecisions - LeavesBefore;
-        Entry.Epoch = Learner->epoch();
-        Entry.Combos.reserve(Prepared[I].Combos.size());
-        for (const Combo &C : Prepared[I].Combos)
-          Entry.Combos.push_back({C.Constraints, C.MultValues});
-        Learner->PreparedConds.emplace(std::move(Key), std::move(Entry));
-      }
     }
-  }
-
-  /// Restores a condition's enumeration from the learner, re-charging
-  /// the leaf decisions the original run paid so a warmed search stays
-  /// under the same budget governance. \returns false (leaving \p Out
-  /// untouched) on a miss, or when the remaining budget could not cover
-  /// the replay — the live enumeration then trips the budget the normal
-  /// way.
-  bool restoreCondition(const std::string &Key, PreparedCondition &Out) {
-    auto It = Learner->PreparedConds.find(Key);
-    if (It == Learner->PreparedConds.end() ||
-        Budget < It->second.LeafDecisions)
-      return false;
-    const SynthLearner::ConditionEntry &Entry = It->second;
-    for (uint64_t J = 0; J < Entry.LeafDecisions; ++J) {
-      if (!resourceCharge(ResourceKind::SynthCombos)) {
-        Budget = 0; // Controller tripped mid-replay: end the search.
-        return false;
-      }
-    }
-    Budget -= Entry.LeafDecisions;
-    if (Entry.Epoch < Learner->epoch()) {
-      RunStats.LemmasReused += Entry.LeafDecisions;
-      Learner->Stats.LemmasReused += Entry.LeafDecisions;
-    } else {
-      RunStats.CombosDeduped += Entry.LeafDecisions;
-      Learner->Stats.CombosDeduped += Entry.LeafDecisions;
-    }
-    Out.Combos.reserve(Entry.Combos.size());
-    for (const SynthLearner::StoredCombo &SC : Entry.Combos) {
-      Combo C;
-      C.Constraints = SC.Constraints;
-      C.MultValues = SC.MultValues;
-      Out.Combos.push_back(std::move(C));
-    }
-    return true;
   }
 
   /// Numbers every prepared combo densely; nogoods are sets of these ids.
@@ -388,7 +277,7 @@ private:
   /// then conflicts on them before the condition's depth is even reached.
   /// Tagged -1 so they never enter a backjump core as a depth.
   void installRootCuts() {
-    if (!Learner)
+    if (!Opts.Learning)
       return;
     std::set<std::string> Installed;
     for (const PreparedCondition &PC : Prepared) {
@@ -401,24 +290,9 @@ private:
         std::set<std::string> InThisCombo;
         for (const PolyConstraint &Ct : C.Constraints) {
           std::string Key;
-          std::unordered_map<int, int> Rename;
-          int NextId = 0;
-          // Raw-id serialization: reuse the canonical printer but seed the
-          // renaming with identity so distinct unknowns stay distinct.
-          for (const auto &[M, Coef] : Ct.P.terms()) {
-            (void)Coef;
-            if (M.A >= 0)
-              Rename.emplace(M.A, M.A);
-            if (M.B >= 0)
-              Rename.emplace(M.B, M.B);
-          }
-          NextId = Pool.size();
-          fingerprintConstraint(Ct, Pool, Rename, NextId, Key);
-          if (!InThisCombo.insert(Key).second)
-            continue;
-          auto [It, Inserted] = Seen.try_emplace(Key, 0, &Ct);
-          ++It->second.first;
-          (void)Inserted;
+          rawKeyConstraint(Ct, Pool, Key);
+          if (InThisCombo.insert(Key).second)
+            ++Seen.try_emplace(Key, 0, &Ct).first->second.first;
         }
       }
       for (const auto &[Key, Entry] : Seen) {
@@ -427,8 +301,7 @@ private:
         if (!Installed.insert(Key).second)
           continue; // Another condition already contributed this cut.
         CutConstraints.push_back(*Entry.second);
-        ++RunStats.Cuts;
-        ++Learner->Stats.Cuts;
+        ++Learned.Cuts;
       }
     }
     if (!CutConstraints.empty())
@@ -469,7 +342,7 @@ private:
   /// depth tags name the chosen combos that jointly conflicted. Any later
   /// branch assembling the same set is pruned without an LP.
   void recordNogood(const std::vector<int> &CoreTags) {
-    if (!Learner || Nogoods.size() >= MaxNogoods)
+    if (Nogoods.size() >= MaxNogoods)
       return;
     std::vector<int> Members;
     for (int Tag : CoreTags) {
@@ -489,52 +362,10 @@ private:
     Nogoods.push_back(std::move(Members));
   }
 
-  /// Positions the branch-trie cursor for the root of the search: one
-  /// edge from node 0 labeled with the cut rows' serialization, which
-  /// seeds the renaming shared along every dfs branch. Candidate combos
-  /// then extend that renaming one edge at a time, so a prefix's
-  /// canonical identity — a *joint* identity, unlike the per-combo
-  /// fingerprints — is built incrementally: each dfs step serializes
-  /// only its own candidate, never the whole prefix.
-  void enterBranchTrie() {
-    if (!Learner)
-      return;
-    std::string Edge;
-    for (const PolyConstraint &PC : CutConstraints)
-      fingerprintConstraint(PC, Pool, BranchRename, BranchNextId, Edge);
-    CurNode = Learner->branchChild(0, std::move(Edge));
-  }
-
-  /// Rolls the shared branch renaming back past a candidate's
-  /// serialization: the ids it introduced are erased and the canonical
-  /// counter rewinds (insertions are LIFO along a branch, so sequential
-  /// ids stay dense). Siblings then serialize against the exact renaming
-  /// state their prefix established.
-  void undoBranchRename(const std::vector<int> &NewIds) {
-    for (int Id : NewIds)
-      BranchRename.erase(Id);
-    BranchNextId -= static_cast<int>(NewIds.size());
-  }
-
   int dfs(const std::vector<size_t> &Order, int Depth) {
     if (Budget == 0)
       return -1;
     if (static_cast<size_t>(Depth) == Order.size()) {
-      if (UncheckedFrames > 0) {
-        // Some branch frames were admitted on cached verdicts alone, so
-        // the tableau's assignment may not satisfy them yet. One repair
-        // check makes the extracted model real. Like the rebuild replay,
-        // this re-establishes already-charged knowledge, so it is not
-        // billed to the budget.
-        Simplex::Result R = Lp.LP.check();
-        if (R == Simplex::Result::Interrupted) {
-          Budget = 0;
-          return -1;
-        }
-        assert(R == Simplex::Result::Sat && "cached-feasible branch unsat");
-        if (R != Simplex::Result::Sat)
-          return Depth - 1; // Fail safe: treat as a conflict at the leaf.
-      }
       // The shared tableau already satisfies every chosen combo's
       // constraints: extract.
       FinalAssignment.assign(Pool.size(), Rational(0));
@@ -548,7 +379,7 @@ private:
     const PreparedCondition &Cond = Prepared[Order[Depth]];
     int DeepestConflict = -1;
     for (const Combo &C : Cond.Combos) {
-      if (Learner) {
+      if (Opts.Learning) {
         int NgTag = nogoodConflict(C);
         if (NgTag != InactiveNogood) {
           // A pruned node is still a processed combo: charge it like the
@@ -563,8 +394,7 @@ private:
             return -1;
           }
           --Budget;
-          ++RunStats.Nogoods;
-          ++Learner->Stats.Nogoods;
+          ++Learned.Nogoods;
           if (Budget == 0)
             return -1;
           if (NgTag < Depth && NgTag >= 0)
@@ -576,105 +406,27 @@ private:
         }
       }
       maybeRebuildLp();
-      // Branch trie: descend one edge — the candidate's serialization
-      // under the branch-shared renaming. A node with a verdict replays
-      // the joint simplex result of this exact prefix+candidate, which
-      // an earlier run (an engine restart, the previous CEGAR round)
-      // computed — charged like the check it stands in for, so a cached
-      // replay of an exhaustive search is still budget-bounded. Combos
-      // with no constraints still advance the cursor (empty edge): the
-      // trie path must mirror the branch's depth structure, because the
-      // stored backjump tags are depths.
-      bool HaveHit = false, HitFeasible = false;
-      int HitTag = -1;
-      int32_t Child = -1;
-      int32_t SavedNode = CurNode;
-      std::vector<int> BranchNewIds;
-      if (CurNode >= 0) {
-        std::string Edge;
-        for (const PolyConstraint &PC : C.Constraints)
-          fingerprintConstraint(PC, Pool, BranchRename, BranchNextId, Edge,
-                                &BranchNewIds);
-        Child = Learner->branchChild(static_cast<uint32_t>(CurNode),
-                                     std::move(Edge));
-        if (Child >= 0) {
-          const SynthLearner::BranchNode &N = Learner->BranchTrie[Child];
-          if (N.Verdict >= 0) {
-            HaveHit = true;
-            HitFeasible = N.Verdict == 1;
-            HitTag = N.BackjumpTag;
-            if (!resourceCharge(ResourceKind::SynthCombos)) {
-              Budget = 0;
-              return -1;
-            }
-            --Budget;
-            if (N.Epoch < Learner->epoch()) {
-              ++RunStats.LemmasReused;
-              ++Learner->Stats.LemmasReused;
-            } else {
-              ++RunStats.CombosDeduped;
-              ++Learner->Stats.CombosDeduped;
-            }
-            if (Budget == 0)
-              return -1;
-          }
-        }
-      }
-      if (HaveHit && !HitFeasible) {
-        // Replay the recorded conflict's backjump without touching the
-        // tableau. No nogood is recorded: the trie already prunes this
-        // prefix, and the stored tag carries the same contract as a live
-        // core's deepest depth.
-        undoBranchRename(BranchNewIds);
-        if (HitTag < Depth)
-          return HitTag;
-        DeepestConflict = std::max(DeepestConflict, HitTag);
-        continue;
-      }
       Chosen.push_back(&C);
       ChosenGid[static_cast<size_t>(C.Gid)] = true;
       DepthOfGid[C.Gid] = Depth;
       int ConflictTag = Depth;
       int Sub;
       if (C.Constraints.empty()) {
-        CurNode = Child;
         Sub = dfs(Order, Depth + 1);
-        CurNode = SavedNode;
       } else {
         Lp.push();
         ActiveFrames.push_back({&C.Constraints, Depth});
-        bool Ok;
-        if (HaveHit) {
-          // Known feasible: assert the constraints for the descendants'
-          // incremental checks, but skip this node's own simplex run.
-          lpAddConstraints(Lp, C.Constraints, Depth);
-          ++UncheckedFrames;
-          Ok = true;
-        } else {
-          Ok = lpAddCheck(Lp, C.Constraints, Depth, &ConflictTag);
-          if (Child >= 0 && Budget != 0) {
-            SynthLearner::BranchNode &N = Learner->BranchTrie[Child];
-            N.Verdict = Ok ? 1 : 0;
-            N.BackjumpTag = ConflictTag;
-            N.Epoch = Learner->epoch();
-          }
-        }
-        if (Ok) {
-          CurNode = Child;
+        if (lpAddCheck(Lp, C.Constraints, Depth, &ConflictTag)) {
           Sub = dfs(Order, Depth + 1);
-          CurNode = SavedNode;
         } else {
-          if (Budget != 0 && Learner)
+          if (Budget != 0 && Opts.Learning)
             recordNogood(Lp.LP.unsatCore());
           Sub = ConflictTag;
         }
-        if (HaveHit)
-          --UncheckedFrames;
         ActiveFrames.pop_back();
         Lp.pop();
         ++PopsSinceRebuild;
       }
-      undoBranchRename(BranchNewIds);
       ChosenGid[static_cast<size_t>(C.Gid)] = false;
       Chosen.pop_back();
       if (Sub == FoundSolution)
@@ -738,32 +490,14 @@ private:
   std::vector<std::pair<const std::vector<PolyConstraint> *, int>>
       ActiveFrames;
   uint64_t PopsSinceRebuild = 0;
-  /// Active frames admitted on a cached Sat verdict without their own
-  /// simplex run; the leaf repairs the tableau once when any remain.
-  uint64_t UncheckedFrames = 0;
-  /// Branch-trie cursor: the learner node of the current dfs prefix, or
-  /// -1 when the trie is disabled for this subtree (no learner, or the
-  /// trie hit its capacity cap mid-descent).
-  int32_t CurNode = -1;
-  /// The renaming shared along the current dfs branch (seeded by the cut
-  /// rows, extended per candidate, rolled back per sibling) — the trie's
-  /// edge labels are serializations under this map.
-  std::unordered_map<int, int> BranchRename;
-  int BranchNextId = 0;
   std::vector<const Combo *> Chosen;
   std::vector<Rational> FinalAssignment;
   uint64_t Budget;
   uint64_t LpChecks = 0;
-  /// Leaves the multiplier enumeration decided (admitted, rejected, or
-  /// deduped) — what a prepared-condition restore must re-charge.
-  uint64_t LeafDecisions = 0;
 
-  /// Learning state. Learner stays null when Opts.Learning is off — every
-  /// learning code path keys off that. LocalLearner backs searches whose
-  /// caller did not supply a persistent one.
-  SynthLearner *Learner = nullptr;
-  SynthLearner LocalLearner;
-  SynthLearnStats RunStats; ///< This run's deltas (mirrored into Learner).
+  /// Run-local learning state; every learning code path keys off
+  /// Opts.Learning.
+  SynthLearnStats Learned;
   int NumCombos = 0;
   std::vector<char> ChosenGid; ///< Gid -> combo is on the current branch.
   std::vector<int> DepthOfGid; ///< Depth a chosen Gid was asserted at.

@@ -35,15 +35,10 @@ struct SynthOptions {
   /// escalated than ground out (the search reports ResourceOut, so
   /// callers distinguish "proved impossible" from "gave up").
   uint64_t MaxLpChecks = 25000;
-  /// Conflict learning: nogoods, combo dedup, root cuts, and the combo
-  /// verdict cache. Off, the search is exactly the pre-learning
+  /// Run-local conflict learning: nogoods, within-condition combo dedup
+  /// and root cuts. Off, the search is exactly the pre-learning
   /// backjumping DFS — the differential sweep's oracle pins that mode.
   bool Learning = true;
-  /// Optional persistent learner. When set (engines own one per job),
-  /// combo verdicts survive across solveConditions calls — across
-  /// template levels, Farkas scope teardowns, and search restarts. When
-  /// null, a run-local learner still dedups within the call.
-  SynthLearner *Learner = nullptr;
 };
 
 /// Outcome of a synthesis run.
@@ -53,7 +48,7 @@ struct SynthResult {
   /// Values for every unknown in the pool (unconstrained ones are zero).
   std::vector<Rational> Assignment;
   uint64_t LpChecks = 0;
-  /// Learning work done by this run (deltas, not learner lifetime).
+  /// Learning work done by this run.
   SynthLearnStats Learn;
 };
 

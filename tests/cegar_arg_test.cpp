@@ -241,9 +241,9 @@ TEST(WholeProgramEscalationTest, EscalatesAtTheFirstFailedTemplateLevel) {
     uint64_t LpChecks;
   };
   const Pin Pins[] = {
-      {"partition", testprogs::Partition, 31196},
-      {"init_check", testprogs::InitCheck, 10306},
-      {"forward", testprogs::Forward, 283},
+      {"partition", testprogs::Partition, 31206},
+      {"init_check", testprogs::InitCheck, 10316},
+      {"forward", testprogs::Forward, 284},
   };
   for (const Pin &C : Pins) {
     Verifier V;

@@ -222,8 +222,8 @@ TEST(PdrEngineTest, EscalatesAtTheFirstFailedTemplateLevel) {
   };
   const Pin Pins[] = {
       {"partition", testprogs::Partition, 21545, 428},
-      {"init_check", testprogs::InitCheck, 10306, 43},
-      {"forward", testprogs::Forward, 279, 372},
+      {"init_check", testprogs::InitCheck, 10316, 43},
+      {"forward", testprogs::Forward, 280, 372},
   };
   for (const Pin &C : Pins) {
     EngineOptions Opts;

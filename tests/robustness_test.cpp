@@ -152,6 +152,17 @@ TEST(ResourceControllerTest, BudgetOfNAdmitsExactlyNSteps) {
   }
 }
 
+TEST(ResourceControllerTest, UnrepresentableTimeoutArmsNoDeadline) {
+  // 1e12 s lies far past the steady clock's range. Converted unchecked,
+  // it overflows into a deadline that has already passed.
+  ResourceLimits Limits;
+  Limits.TimeoutSeconds = 1e12;
+  ResourceController RC(Limits);
+  RC.start();
+  EXPECT_TRUE(RC.pollNow());
+  EXPECT_FALSE(RC.exhausted());
+}
+
 TEST(RobustnessTest, RefinementBudgetOfOneRunsOneRefinement) {
   // FORWARD needs two refinements; a budget of one runs exactly one.
   Verifier V;

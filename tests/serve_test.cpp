@@ -502,6 +502,8 @@ TEST(ServeProtocol, HostileLinesGetMachineReadableErrors) {
       "\"budgets\":{\"quantum_flux\":3}}",         // unknown budget key
       "{\"id\":\"e\",\"op\":\"verify\",\"program\":\"proc f(n) {}\","
       "\"engine\":\"warp\"}",                      // unknown engine
+      "{\"id\":\"m\",\"op\":\"verify\",\"program\":\"proc f(n) {}\","
+      "\"memory_mb\":17592186044417}",             // 2^44+1 MB: bytes wrap
       std::string(1 << 16, '{'),                   // nesting bomb
   };
   for (const std::string &Line : Hostile) {

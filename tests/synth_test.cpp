@@ -137,36 +137,28 @@ TEST(FarkasTest, RefuteInfeasibleAntecedent) {
 
 // --- Conflict learning ------------------------------------------------------
 
-TEST(SynthLearnTest, FingerprintCanonicalAcrossPools) {
-  // The same constraint shape must serialize identically no matter which
-  // raw ids the pool handed out — that is what makes the verdict cache
-  // cross-scope (every template level allocates a fresh pool).
-  auto mk = [](int A, int B) {
+TEST(SynthLearnTest, ComboHashIdentifiesInterchangeableChoices) {
+  // hashCombo is the within-condition dedup key. Combos that differ only
+  // in which private multiplier ids they drew are one choice; a different
+  // shared unknown, multiplier kind or relation makes a different one.
+  UnknownPool Pool;
+  int A = Pool.add(UnknownKind::Param, "a");
+  int B = Pool.add(UnknownKind::Param, "b");
+  int M1 = Pool.add(UnknownKind::Multiplier, "m1");
+  int M2 = Pool.add(UnknownKind::Multiplier, "m2");
+  int F = Pool.add(UnknownKind::FreeMult, "f");
+  auto hash = [&](int Shared, int Private, bool IsEq) {
     std::vector<PolyConstraint> Cs;
-    Cs.push_back({Poly::unknown(A) + Poly::unknown(B) * Rational(2), false});
-    Cs.push_back({Poly::unknown(B), true});
-    return Cs;
+    Cs.push_back(
+        {Poly::unknown(Shared) + Poly::unknown(Private) * Rational(2), IsEq});
+    Cs.push_back({Poly::unknown(Private), true});
+    return hashCombo(Cs, Pool);
   };
-  UnknownPool P1;
-  int A1 = P1.add(UnknownKind::Param, "a");
-  int B1 = P1.add(UnknownKind::Multiplier, "b");
-  UnknownPool P2;
-  P2.add(UnknownKind::Multiplier, "pad"); // shifts every later raw id
-  int A2 = P2.add(UnknownKind::Param, "other");
-  int B2 = P2.add(UnknownKind::Multiplier, "names");
-  EXPECT_EQ(fingerprintCombo(mk(A1, B1), P1), fingerprintCombo(mk(A2, B2), P2));
-
-  // Kinds are part of the identity: a Multiplier carries an implicit
-  // >= 0 in the LP, so swapping kinds must change the fingerprint.
-  UnknownPool P3;
-  int A3 = P3.add(UnknownKind::Param, "a");
-  int B3 = P3.add(UnknownKind::Param, "b");
-  EXPECT_NE(fingerprintCombo(mk(A1, B1), P1), fingerprintCombo(mk(A3, B3), P3));
-
-  // So is the relation: <= 0 vs = 0 on the same polynomial.
-  std::vector<PolyConstraint> Le{{Poly::unknown(A1), false}};
-  std::vector<PolyConstraint> Eq{{Poly::unknown(A1), true}};
-  EXPECT_NE(fingerprintCombo(Le, P1), fingerprintCombo(Eq, P1));
+  EXPECT_TRUE(hash(A, M1, false) == hash(A, M2, false));
+  EXPECT_FALSE(hash(A, M1, false) == hash(B, M1, false));
+  // A Multiplier carries an implicit >= 0 in the LP; a FreeMult does not.
+  EXPECT_FALSE(hash(A, M1, false) == hash(A, F, false));
+  EXPECT_FALSE(hash(A, M1, false) == hash(A, M1, true));
 }
 
 TEST(SynthLearnTest, DedupAcrossDuplicateAlternatives) {
@@ -200,42 +192,6 @@ TEST(SynthLearnTest, DedupAcrossDuplicateAlternatives) {
   SynthResult R2 = solveConditions(Pool2, {Cond}, Off);
   EXPECT_TRUE(R2.Found);
   EXPECT_EQ(R2.Learn.CombosDeduped, 0u);
-}
-
-TEST(SynthLearnTest, VerdictCachePersistsAcrossRuns) {
-  // A persistent learner carries combo verdicts across solveConditions
-  // calls — the cross-scope reuse that survives Farkas scope teardowns.
-  TermManager TM;
-  const Term *X = TM.mkVar("x", Sort::Int);
-  auto mkRow = [&](int64_t CoeffX, int64_t Const) {
-    ParamLinExpr E;
-    E.addTerm(X, Poly(Rational(CoeffX)));
-    E.addConstant(Poly(Rational(Const)));
-    return E;
-  };
-  Condition Cond;
-  ConditionAlternative Alt;
-  Alt.Instances.push_back(
-      {{Row::le(mkRow(1, -1)), Row::le(mkRow(-1, 0))}, mkRow(1, -2)});
-  Cond.Alternatives.push_back(Alt);
-
-  SynthLearner Learner;
-  SynthOptions Opts;
-  Opts.Learner = &Learner;
-
-  UnknownPool Pool1;
-  SynthResult R1 = solveConditions(Pool1, {Cond}, Opts);
-  ASSERT_TRUE(R1.Found);
-  EXPECT_EQ(R1.Learn.LemmasReused, 0u) << "first run has nothing to reuse";
-
-  UnknownPool Pool2; // fresh pool: fresh multiplier ids, same shapes
-  SynthResult R2 = solveConditions(Pool2, {Cond}, Opts);
-  ASSERT_TRUE(R2.Found);
-  EXPECT_GT(R2.Learn.LemmasReused, 0u);
-  EXPECT_LT(R2.LpChecks, R1.LpChecks)
-      << "cached verdicts should replace leaf LP checks";
-  EXPECT_EQ(Learner.Stats.LemmasReused, R2.Learn.LemmasReused)
-      << "lifetime totals accumulate the per-run deltas";
 }
 
 TEST(SynthLearnTest, LearningOffMatchesOnSyntheticConditions) {
@@ -442,9 +398,7 @@ TEST_F(SynthFixture, IntervalBackendCannotDoRelational) {
 TEST_F(SynthFixture, LearningDifferentialPaperPrograms) {
   // Learning-enabled search must agree with the learning-off reference on
   // every paper program: same verdict, same escalation level, and the
-  // learned-mode map must independently validate. One persistent learner
-  // spans all programs, as in the engines.
-  SynthLearner Learner;
+  // learned-mode map must independently validate.
   struct Case {
     const char *Name;
     const char *Source;
@@ -460,7 +414,6 @@ TEST_F(SynthFixture, LearningDifferentialPaperPrograms) {
   for (const Case &C : Cases) {
     Program P = load(C.Source);
     PathInvOptions On, Off;
-    On.Synth.Learner = &Learner;
     On.Synth.MaxLpChecks = C.Budget;
     Off.Synth.Learning = false;
     Off.Synth.MaxLpChecks = C.Budget;
@@ -473,8 +426,7 @@ TEST_F(SynthFixture, LearningDifferentialPaperPrograms) {
     if (ROn.Found) {
       EXPECT_TRUE(checkInvariantMap(P, ROn.Map, Solver).Ok) << C.Name;
     }
-    Learned += ROn.Learn.CombosDeduped + ROn.Learn.LemmasReused +
-               ROn.Learn.Nogoods;
+    Learned += ROn.Learn.CombosDeduped + ROn.Learn.Nogoods;
   }
   EXPECT_GT(Learned, 0u) << "sweep never exercised the learning machinery";
 }
@@ -484,7 +436,6 @@ TEST_F(SynthFixture, LearningDifferentialFuzzSeeds) {
   // budgets. A seed where either mode trips its resource budget proves
   // nothing about verdicts (budget trips are not verdicts) and is skipped;
   // everything else must agree exactly.
-  SynthLearner Learner;
   const uint64_t Budget = 3000;
   uint64_t Learned = 0;
   int Compared = 0;
@@ -496,14 +447,12 @@ TEST_F(SynthFixture, LearningDifferentialFuzzSeeds) {
     Program P = PE.take();
     SmtSolver LocalSolver{LocalTM};
     PathInvOptions On, Off;
-    On.Synth.Learner = &Learner;
     On.Synth.MaxLpChecks = Budget;
     Off.Synth.Learning = false;
     Off.Synth.MaxLpChecks = Budget;
     PathInvResult ROn = generatePathInvariants(P, LocalSolver, On);
     PathInvResult ROff = generatePathInvariants(P, LocalSolver, Off);
-    Learned += ROn.Learn.CombosDeduped + ROn.Learn.LemmasReused +
-               ROn.Learn.Nogoods;
+    Learned += ROn.Learn.CombosDeduped + ROn.Learn.Nogoods;
     if (ROn.ResourceOut || ROff.ResourceOut)
       continue;
     ++Compared;

@@ -119,9 +119,9 @@ int main(int Argc, char **Argv) {
         return usage(Argv[0]);
     } else if (const char *V = valueOf("--memory=")) {
       uint64_t MegaBytes = 0;
-      if (!parseUint(V, MegaBytes))
-        return usage(Argv[0]);
-      Opts.Limits.MemoryBytes = MegaBytes * 1024 * 1024;
+      if (!parseUint(V, MegaBytes) || MegaBytes > (UINT64_MAX >> 20))
+        return usage(Argv[0]); // More would overflow the byte count.
+      Opts.Limits.MemoryBytes = MegaBytes << 20;
     } else if (const char *V = valueOf("--budgets=")) {
       std::string Error;
       if (!pathinv::parseStepBudgets(V, Opts.Limits, Error)) {
