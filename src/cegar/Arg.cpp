@@ -364,14 +364,14 @@ ArgRunResult ReachEngine::run() {
         Result.PathNodes = std::move(Chain);
         Result.Kind = ArgRunResult::Kind::Counterexample;
         // The error node stays queued: its path is reported, not decided.
-        // If the caller's analysis is cut short (deadline, slice pause)
-        // before refinement prunes or drops this node, a resumed run must
-        // rediscover the same path — otherwise the worklist drains around
-        // a live undecided counterexample and run() declares a spurious
-        // Proof (observed as a fuzz-oracle Safe-without-certificate, and
-        // on unsafe programs an unsound Safe). Once the path is actually
-        // refuted the node is relabelled or pruned and the stale queue
-        // entry is skipped like any other.
+        // If the caller's analysis is cut short before refinement prunes
+        // or drops this node, a later run() must rediscover the same path
+        // — otherwise the worklist drains around a live undecided
+        // counterexample and run() declares a spurious Proof (observed as
+        // a fuzz-oracle Safe-without-certificate, and on unsafe programs
+        // an unsound Safe). Once the path is actually refuted the node is
+        // relabelled or pruned and the stale queue entry is skipped like
+        // any other.
         enqueue(Id);
         return Result;
       }

@@ -8,7 +8,6 @@
 
 #include "cegar/Arg.h"
 #include "smt/ArrayElim.h"
-#include "support/BigInt.h"
 #include "smt/SmtSolver.h"
 #include "smt/SolverContext.h"
 #include "synth/PathInvariants.h"
@@ -117,8 +116,7 @@ bool escalateBudgetedRefinement(const Program &P, const Path &Cex,
     return false;
   ++Result.Stats.EscalationRetries;
   RefineResult Retry = refine(P, Cex, Result.Predicates, Solver,
-                              RefinerKind::PathInvariantIntervals,
-                              Opts.PathInv);
+                              RefinerKind::PathInvariantIntervals);
   Result.Stats.LpChecks += Retry.LpChecks;
   Result.Stats.TemplateLevelsTried += Retry.TemplateLevelsTried;
   Result.Stats.addSynthLearning(Retry.Learn);
@@ -146,32 +144,27 @@ void syncReachStats(EngineStats &S, const ArgStats &A) {
   S.RelabelsBatched = A.RelabelsBatched;
 }
 
-} // namespace
-
-/// All loop state lives here so a slice-paused run() resumes exactly
-/// where it stopped: the persistent ARG, the incremental path-formula
-/// checker, the grown precision (inside Result.Predicates, which the ARG
-/// references), and the whole-program search state.
-struct CegarEngine::Impl {
-  Impl(const Program &P, SmtSolver &Solver, const EngineOptions &Opts,
-       WholeProgramSearch &Whole)
+/// The state of one CEGAR run: the persistent ARG, the incremental
+/// path-formula checker, the grown precision (inside Result.Predicates,
+/// which the ARG references), and the job's whole-program search.
+struct CegarRun {
+  CegarRun(const Program &P, SmtSolver &Solver, const EngineOptions &Opts,
+           WholeProgramSearch &Whole)
       : P(P), Solver(Solver), Opts(Opts), PathChecker(P.termManager()),
         Reach(P, Result.Predicates, Solver), Whole(Whole) {}
 
   const Program &P;
   SmtSolver &Solver;
-  EngineOptions Opts;
+  const EngineOptions &Opts;
   PathFormulaChecker PathChecker;
-  /// Persistent accumulator; run() returns a copy. Result.Predicates is
-  /// the live precision the ARG labels against.
+  /// The run's outcome. Result.Predicates is the live precision the ARG
+  /// labels against.
   EngineResult Result;
   ReachEngine Reach;
   WholeProgramSearch &Whole;
-  bool Done = false; ///< Terminal (not just slice-paused) outcome reached.
 
   bool escalate() {
-    return escalateToWholeProgram(P, Solver, Opts.Refiner, Opts.PathInv,
-                                  Whole, Result);
+    return escalateToWholeProgram(P, Solver, Opts.Refiner, Whole, Result);
   }
   void runLoop();
   void finish();
@@ -181,12 +174,12 @@ struct CegarEngine::Impl {
 /// Reads an invariant-map certificate off the ARG proof and validates it
 /// independently before attaching it to the Safe verdict. The validation
 /// runs under a fresh unlimited controller: the proof is already complete,
-/// and a certificate that silently disappears whenever a portfolio slice
-/// pause or a tripped budget lands on this exact line would make Safe
-/// results nondeterministically certificate-free. A map that fails either
-/// the read-off or the check is dropped — the verdict itself never
-/// depends on the certificate.
-void CegarEngine::Impl::exportCertificate() {
+/// and a certificate that silently disappears whenever a deadline or a
+/// tripped budget lands on this exact line would make Safe results
+/// nondeterministically certificate-free. A map that fails either the
+/// read-off or the check is dropped — the verdict itself never depends on
+/// the certificate.
+void CegarRun::exportCertificate() {
   if (Result.HasInvariants)
     return;
   InvariantMap Map;
@@ -204,7 +197,7 @@ void CegarEngine::Impl::exportCertificate() {
 
 /// Folds the ARG/solver-context/path-checker counters into the result
 /// stats (all lifetime totals — safe to overwrite on every exit).
-void CegarEngine::Impl::finish() {
+void CegarRun::finish() {
   syncReachStats(Result.Stats, Reach.stats());
   smt::ContextStats Ctx = Reach.context().stats();
   Result.Stats.ReachContextChecks = Ctx.Checks;
@@ -220,7 +213,7 @@ void CegarEngine::Impl::finish() {
 
 /// The CEGAR loop over the persistent ARG: refinement prunes the pivot
 /// subtree and resumes instead of restarting.
-void CegarEngine::Impl::runLoop() {
+void CegarRun::runLoop() {
   for (;;) {
     // Phase 1: resume abstract reachability on the persistent graph.
     ArgRunResult Reached = Reach.run();
@@ -231,10 +224,9 @@ void CegarEngine::Impl::runLoop() {
       return finish();
     }
     if (Reached.Kind == ArgRunResult::Kind::ResourceOut) {
-      // The graph keeps its frontier queued; the verdict is Unknown with
-      // the controller's reason, and everything built so far survives in
-      // Result.Predicates as the best-so-far invariant map. (On a slice
-      // pause this is where the next run() call picks the job back up.)
+      // The verdict is Unknown with the controller's reason, and
+      // everything built so far survives in Result.Predicates as the
+      // best-so-far invariant map.
       Result.Note = "resources exhausted during abstract reachability";
       return finish();
     }
@@ -258,9 +250,8 @@ void CegarEngine::Impl::runLoop() {
     }
     // A path program that fails a template level escalates to the
     // whole-program search before trying the next level.
-    RefineResult Refined =
-        refine(P, Cex, Result.Predicates, Solver, Opts.Refiner, Opts.PathInv,
-               [this] { return escalate(); });
+    RefineResult Refined = refine(P, Cex, Result.Predicates, Solver,
+                                  Opts.Refiner, [this] { return escalate(); });
     Result.Stats.LpChecks += Refined.LpChecks;
     Result.Stats.TemplateLevelsTried += Refined.TemplateLevelsTried;
     Result.Stats.addSynthLearning(Refined.Learn);
@@ -269,15 +260,10 @@ void CegarEngine::Impl::runLoop() {
       return finish();
     }
     if (resourceExhausted()) {
-      // Interrupted mid-refinement (slice pause or real exhaustion):
-      // report without counting the refinement or consuming the ladder,
-      // so a resumed run retries this path with the full machinery. This
-      // holds even when the cut-short synthesis made partial progress —
-      // applying a half-grown precision can fail to refute the path
-      // abstractly, and the drop-the-edge fallback below would leave the
-      // ARG permanently Incomplete (a sound Safe, but one that can never
-      // export a certificate). Any predicates already added are kept: the
-      // precision grows monotonically and the retry only adds more.
+      // Interrupted mid-refinement: report Unknown without counting the
+      // refinement or consuming the ladder, even when the cut-short
+      // synthesis made partial progress. Any predicates it added stay in
+      // the best-so-far precision.
       Result.Note = "resources exhausted during refinement";
       return finish();
     }
@@ -303,47 +289,12 @@ void CegarEngine::Impl::runLoop() {
   }
 }
 
-CegarEngine::CegarEngine(const Program &P, SmtSolver &Solver,
-                         const EngineOptions &Opts, WholeProgramSearch &Whole)
-    : I(std::make_unique<Impl>(P, Solver, Opts, Whole)) {}
+} // namespace
 
-CegarEngine::~CegarEngine() = default;
-
-EngineResult CegarEngine::run() {
-  if (I->Done)
-    return I->Result;
-  // A resumed run starts clean: the previous pause's provisional note
-  // must not leak into the continued job's outcome.
-  I->Result.Note.clear();
-  I->Result.UnknownReason.clear();
-  I->runLoop();
-  ResourceController *RC = ResourceController::active();
-  bool Paused = I->Result.Verdict == EngineResult::Verdict::Unknown && RC &&
-                RC->slicePaused();
-  I->Done = !Paused;
-  return I->Result;
-}
-
-EngineResult pathinv::verify(const Program &P, SmtSolver &Solver,
-                             const EngineOptions &Opts) {
-  // Resource governance: one controller per run, visible to every layer
-  // below through the thread-local ResourceScope. The memory probe covers
-  // the two dominant allocation pools — the term arena and the BigInt
-  // limb heap — sampled at the controller's amortized poll points.
-  ResourceController RC(Opts.Limits);
-  TermManager &TM = P.termManager();
-  RC.setMemoryProbe([&TM]() -> uint64_t {
-    return static_cast<uint64_t>(TM.arenaBytes()) + bigIntHeapBytes();
-  });
-  RC.start();
-  ResourceScope Scope(RC);
-  WholeProgramSearch Whole;
-  CegarEngine Engine(P, Solver, Opts, Whole);
-  EngineResult Result = Engine.run();
-  // Exhaustion is never a verdict: a Safe or Unsafe reached before (or
-  // soundly despite) the trip stands; only Unknown carries the reason.
-  finalizeEngineResult(Result, RC);
-  if (!Result.UnknownReason.empty() && Result.Note.empty())
-    Result.Note = std::string("resources exhausted: ") + Result.UnknownReason;
-  return Result;
+EngineResult pathinv::runCegar(const Program &P, SmtSolver &Solver,
+                               const EngineOptions &Opts,
+                               WholeProgramSearch &Whole) {
+  CegarRun Run(P, Solver, Opts, Whole);
+  Run.runLoop();
+  return std::move(Run.Result);
 }

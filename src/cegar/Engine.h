@@ -15,9 +15,8 @@
 /// the pivot subtree, and covering is graph-wide.
 ///
 /// EngineOptions/EngineStats/EngineResult live in core/Engine.h, shared
-/// with the PDR backend; this header adds the CEGAR implementation of the
-/// VerificationEngine interface plus the historical verify() free
-/// function (CEGAR-only, installs its own controller).
+/// with the PDR backend; this header adds the CEGAR backend as one
+/// run-to-completion call.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,30 +27,13 @@
 
 namespace pathinv {
 
-/// The CEGAR backend. Holds the persistent ARG, the incremental
-/// path-formula checker, and the grown precision across run() calls, so
-/// a slice-paused job resumes mid-refinement-loop. \p Whole is the job's
-/// whole-program search, owned by the caller.
-class CegarEngine final : public VerificationEngine {
-public:
-  CegarEngine(const Program &P, SmtSolver &Solver, const EngineOptions &Opts,
-              WholeProgramSearch &Whole);
-  ~CegarEngine() override;
-
-  const char *name() const override { return "cegar"; }
-  EngineResult run() override;
-
-private:
-  struct Impl;
-  std::unique_ptr<Impl> I;
-};
-
-/// Verifies \p P with the CEGAR engine under a fresh per-job
-/// ResourceController built from Opts.Limits: Safe (error location
-/// unreachable), Unsafe (with witness), or Unknown (budgets exhausted /
-/// refinement stuck).
-EngineResult verify(const Program &P, SmtSolver &Solver,
-                    const EngineOptions &Opts = {});
+/// Verifies \p P with the CEGAR loop under the thread's active
+/// ResourceController: Safe (error location unreachable), Unsafe (with a
+/// replayed witness), or Unknown (resources exhausted or refinement
+/// stuck). \p Whole is the job's whole-program search, owned by the
+/// caller (core/Engine.h's runEngine installs the controller).
+EngineResult runCegar(const Program &P, SmtSolver &Solver,
+                      const EngineOptions &Opts, WholeProgramSearch &Whole);
 
 } // namespace pathinv
 

@@ -164,7 +164,7 @@ void distributeInvariants(const Program &P, const PathProgram &PP,
 
 RefineResult pathinv::refine(const Program &P, const Path &Cex,
                              PredicateMap &Pi, SmtSolver &Solver,
-                             RefinerKind Kind, const PathInvOptions &Opts,
+                             RefinerKind Kind,
                              const LevelFailedHook &OnLevelFailed) {
   if (Kind == RefinerKind::PathFormula)
     return refineWithWpChain(P, Cex, Pi);
@@ -174,7 +174,7 @@ RefineResult pathinv::refine(const Program &P, const Path &Cex,
   PathInvResult Inv =
       Kind == RefinerKind::PathInvariantIntervals
           ? generateIntervalInvariants(PP.Prog, Solver)
-          : generatePathInvariants(PP.Prog, Solver, Opts, OnLevelFailed);
+          : generatePathInvariants(PP.Prog, Solver, {}, OnLevelFailed);
   Result.TemplateLevelsTried = Inv.LevelsTried;
   Result.LpChecks = Inv.LpChecks;
   Result.Learn = Inv.Learn;
@@ -206,7 +206,6 @@ RefineResult pathinv::refine(const Program &P, const Path &Cex,
 
 bool pathinv::escalateToWholeProgram(const Program &P, SmtSolver &Solver,
                                      RefinerKind Kind,
-                                     const PathInvOptions &Opts,
                                      WholeProgramSearch &Search,
                                      EngineResult &Result) {
   if (Search.Completed || Kind == RefinerKind::PathFormula)
@@ -215,7 +214,7 @@ bool pathinv::escalateToWholeProgram(const Program &P, SmtSolver &Solver,
     return false; // The search could only fail; keep it retryable.
   PathInvResult Whole = Kind == RefinerKind::PathInvariantIntervals
                             ? generateIntervalInvariants(P, Solver)
-                            : generatePathInvariants(P, Solver, Opts);
+                            : generatePathInvariants(P, Solver);
   Result.Stats.LpChecks += Whole.LpChecks;
   Result.Stats.TemplateLevelsTried += Whole.LevelsTried;
   Result.Stats.addSynthLearning(Whole.Learn);

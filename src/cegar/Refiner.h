@@ -73,15 +73,17 @@ enum class RefinerKind : uint8_t {
 /// at once without progress and without the single-path fallback.
 RefineResult refine(const Program &P, const Path &Cex, PredicateMap &Pi,
                     SmtSolver &Solver, RefinerKind Kind,
-                    const PathInvOptions &Opts = {},
                     const LevelFailedHook &OnLevelFailed = {});
 
 /// One job's whole-program invariant search. It runs to completion at
-/// most once per job; in the portfolio the probe and both lanes share it.
+/// most once per job; in the portfolio the probe and both engines share
+/// it.
 struct WholeProgramSearch {
   /// A search ran to completion, found a map or not, and is never
-  /// repeated. An interrupted search (tripped controller or slice pause)
-  /// leaves this false, so the search stays retryable.
+  /// repeated. A search a tripped controller interrupted leaves this
+  /// false, so the search stays retryable. (The portfolio also sets it
+  /// when its probe ran out of a step budget that every later call
+  /// shares.)
   bool Completed = false;
 };
 
@@ -91,15 +93,15 @@ struct WholeProgramSearch {
 /// whose path programs defeat the template heuristic. The engines call it
 /// when a path program fails a template level below the top one (as the
 /// refine() hook) and when per-path refinement stalls; the portfolio
-/// probe calls it once for both lanes. Does nothing once \p Search has
+/// probe calls it once for both engines. Does nothing once \p Search has
 /// completed, under a tripped controller, or for the PathFormula refiner.
 /// Counts the search's LP checks, template levels and learning work into
 /// Result.Stats; a verified map ends \p Result Safe with that map as its
 /// certificate and the note "proved by whole-program invariant map".
 /// \returns true when it proved Safe.
 bool escalateToWholeProgram(const Program &P, SmtSolver &Solver,
-                            RefinerKind Kind, const PathInvOptions &Opts,
-                            WholeProgramSearch &Search, EngineResult &Result);
+                            RefinerKind Kind, WholeProgramSearch &Search,
+                            EngineResult &Result);
 
 /// Computes the weakest-precondition chain of \p Cex (wp of `false`
 /// backwards through the path): one formula per path position, forming an

@@ -1,4 +1,4 @@
-//===- core/Engine.cpp - Engine dispatch and portfolio racing --------------===//
+//===- core/Engine.cpp - Engine dispatch and the portfolio schedule -------===//
 //
 // Part of the path-invariants reproduction. MIT license.
 //
@@ -9,10 +9,9 @@
 #include "cegar/Engine.h"
 #include "pdr/Pdr.h"
 #include "support/BigInt.h"
-#include "synth/PathInvariants.h"
 
 #include <algorithm>
-#include <cassert>
+#include <chrono>
 
 using namespace pathinv;
 
@@ -44,222 +43,227 @@ bool pathinv::parseEngineKind(const std::string &Name, EngineKind &Out) {
   return false;
 }
 
-std::unique_ptr<VerificationEngine>
-pathinv::makeEngine(EngineKind Kind, const Program &P, SmtSolver &Solver,
-                    const EngineOptions &Opts, WholeProgramSearch &Whole) {
-  switch (Kind) {
-  case EngineKind::Cegar:
-    return std::make_unique<CegarEngine>(P, Solver, Opts, Whole);
-  case EngineKind::Pdr:
-    return std::make_unique<PdrEngine>(P, Solver, Opts, Whole);
-  case EngineKind::Portfolio:
-    break; // The portfolio is a driver over backends, not a backend.
-  }
-  assert(false && "makeEngine: not a backend kind");
-  return nullptr;
-}
-
 namespace {
 
-/// One portfolio lane: a backend plus its own controller carrying the
-/// full job limits. Lanes interleave on one thread (the controller is
-/// not thread-safe by design), so the wall deadline is naturally shared
-/// while step budgets are per lane.
-struct Lane {
-  EngineKind Kind;
-  std::unique_ptr<VerificationEngine> Eng;
-  ResourceController RC;
-  EngineResult Last;
-  bool Done = false;
+/// A verification backend: one run-to-completion call (runCegar, runPdr).
+using EngineFn = EngineResult (*)(const Program &, SmtSolver &,
+                                  const EngineOptions &, WholeProgramSearch &);
 
-  Lane(EngineKind Kind, const ResourceLimits &Limits)
-      : Kind(Kind), RC(Limits) {}
-};
-
-/// The whole-program search both lanes would otherwise each escalate to.
-/// A verified map is a complete safety proof whichever engine asked for
-/// it, so the portfolio hoists the search out of the race: it runs once,
-/// unsliced, under its own controller, and shares \p Whole with the lanes
-/// so neither repeats a completed search. \returns true when it proved
-/// Safe (with \p Out filled in).
-bool runWholeProgramProbe(const Program &P, SmtSolver &Solver,
-                          const EngineOptions &Opts, ResourceController &RC,
-                          WholeProgramSearch &Whole, EngineResult &Out) {
-  ResourceScope Scope(RC);
-  return escalateToWholeProgram(P, Solver, Opts.Refiner, Opts.PathInv, Whole,
-                                Out);
-}
-
-/// The first portfolio round's slice length; later rounds double it.
-constexpr double FirstSliceSeconds = 0.05;
-
-/// Time-sliced round-robin race of CEGAR vs PDR. The first lane to
-/// return a definitive verdict wins and the loser is sticky-cancelled;
-/// a lane that returns Unknown without being slice-paused is genuinely
-/// done (exhausted or stuck) and the other lane inherits the whole
-/// machine. Exhaustion is never a verdict: when both lanes end Unknown,
-/// the result attributes each engine's reason. Between the first and
-/// second rounds the shared whole-program synthesis probe runs once (see
-/// runWholeProgramProbe) — after the fine-grained opening round has
-/// already caught trivially Safe and quickly refutable programs.
-EngineResult runPortfolio(const Program &P, SmtSolver &Solver,
-                          const EngineOptions &Opts) {
+/// Runs \p Run under a fresh ResourceController built from \p Limits, its
+/// memory probe sampling the two dominant allocation pools (the term
+/// arena and the BigInt limb heap), then stamps the governed-run epilogue
+/// onto the result: resources spent, peak memory, and for an Unknown
+/// that the controller's trip explains, the machine-readable reason.
+EngineResult runGoverned(EngineFn Run, const Program &P, SmtSolver &Solver,
+                         const EngineOptions &Opts,
+                         const ResourceLimits &Limits,
+                         WholeProgramSearch &Whole) {
+  ResourceController RC(Limits);
   TermManager &TM = P.termManager();
-  auto Probe = [&TM]() -> uint64_t {
+  RC.setMemoryProbe([&TM]() -> uint64_t {
     return static_cast<uint64_t>(TM.arenaBytes()) + bigIntHeapBytes();
-  };
-
-  // The probe and both lanes run at most one whole-program search to
-  // completion between them.
-  WholeProgramSearch Whole;
-  Lane Cegar(EngineKind::Cegar, Opts.Limits);
-  Lane Pdr(EngineKind::Pdr, Opts.Limits);
-  for (Lane *L : {&Cegar, &Pdr}) {
-    L->RC.setMemoryProbe(Probe);
-    L->RC.start();
-    // Construct under the lane's scope: backend constructors may already
-    // do governed work (the CEGAR ARG asserts its root labelling state).
-    ResourceScope Scope(L->RC);
-    EngineOptions LaneOpts = Opts;
-    LaneOpts.Engine = L->Kind;
-    L->Eng = makeEngine(L->Kind, P, Solver, LaneOpts, Whole);
-  }
-
-  // Slices start fine-grained so short jobs decide within one or two
-  // rounds, then double every round to amortize the round-robin switching
-  // on long jobs. Growth is uncapped on purpose: an engine step that is
-  // atomic under the controller (a single refinement synthesis, say) can
-  // exceed any fixed cap, and a capped slice would then redo that step
-  // every round forever.
-  double Slice = FirstSliceSeconds;
-  bool ProbePending = true;
-
-  for (;;) {
-    for (Lane *L : {&Cegar, &Pdr}) {
-      if (L->Done)
-        continue;
-      Lane *Other = L == &Cegar ? &Pdr : &Cegar;
-      // Once the other lane is out of the race, this one gets the rest
-      // of the job budget unsliced.
-      if (!Other->Done)
-        L->RC.beginSlice(Slice);
-      {
-        ResourceScope Scope(L->RC);
-        L->Last = L->Eng->run();
-      }
-      bool Paused = L->RC.slicePaused();
-      L->RC.endSlice();
-      if (L->Last.Verdict != EngineResult::Verdict::Unknown) {
-        Lane *Winner = L;
-        Lane *Loser = Other;
-        std::string Extra;
-        // Certificate preference: before settling on a Safe verdict that
-        // carries no validated invariant map, give the trailing lane the
-        // slice it was about to get anyway. If it finishes Safe *with* a
-        // validated certificate, that lane's result is strictly more
-        // useful (the map is an independently checkable proof artifact);
-        // a disagreeing or still-running trailer changes nothing.
-        if (L->Last.Verdict == EngineResult::Verdict::Safe &&
-            !L->Last.HasInvariants && !Other->Done) {
-          Other->RC.beginSlice(Slice);
-          {
-            ResourceScope Scope(Other->RC);
-            Other->Last = Other->Eng->run();
-          }
-          Other->RC.endSlice();
-          if (Other->Last.Verdict == EngineResult::Verdict::Safe &&
-              Other->Last.HasInvariants) {
-            Winner = Other;
-            Loser = L;
-            Extra = " (validated certificate preferred)";
-          }
-        }
-        // Definitive verdict: sticky-cancel the loser and report.
-        Loser->RC.cancel();
-        finalizeEngineResult(Winner->Last, Winner->RC);
-        std::string Won = std::string("portfolio: ") +
-                          Winner->Eng->name() + " won the race" + Extra;
-        Winner->Last.Note = Winner->Last.Note.empty()
-                                ? Won
-                                : Winner->Last.Note + "; " + Won;
-        return Winner->Last;
-      }
-      if (!Paused) {
-        // Genuine Unknown (resources out or refinement stuck), not a
-        // slice pause: this lane is finished.
-        L->Done = true;
-        finalizeEngineResult(L->Last, L->RC);
-      }
-    }
-    if (Cegar.Done && Pdr.Done)
-      break;
-    if (ProbePending) {
-      ProbePending = false;
-      ResourceController ProbeRC(Opts.Limits);
-      ProbeRC.setMemoryProbe(Probe);
-      ProbeRC.start();
-      EngineResult ProbeResult;
-      if (runWholeProgramProbe(P, Solver, Opts, ProbeRC, Whole,
-                               ProbeResult)) {
-        Cegar.RC.cancel();
-        Pdr.RC.cancel();
-        finalizeEngineResult(ProbeResult, ProbeRC);
-        ProbeResult.Stats.PeakMemoryBytes = std::max(
-            {ProbeResult.Stats.PeakMemoryBytes, Cegar.RC.peakMemoryBytes(),
-             Pdr.RC.peakMemoryBytes()});
-        ProbeResult.Note += "; portfolio: shared synthesis probe won the race";
-        return ProbeResult;
-      }
-      // No proof within the probe's budgets: the race decides. Nothing to
-      // roll back — the probe ran under its own controller and scope.
-    }
-    Slice *= 2;
-  }
-
-  // Both lanes exhausted or stuck. Never a verdict — report Unknown with
-  // per-engine attribution so the caller can see who ran out of what.
+  });
+  RC.start();
   EngineResult Result;
-  Result.Verdict = EngineResult::Verdict::Unknown;
-  auto describe = [](const Lane &L) -> std::string {
-    if (!L.Last.UnknownReason.empty())
-      return L.Last.UnknownReason;
-    return L.Last.Note.empty() ? std::string("unknown") : L.Last.Note;
-  };
-  Result.Note = std::string("portfolio exhausted: cegar: ") +
-                describe(Cegar) + "; pdr: " + describe(Pdr);
-  Result.UnknownReason = !Cegar.Last.UnknownReason.empty()
-                             ? Cegar.Last.UnknownReason
-                             : Pdr.Last.UnknownReason;
-  // Combined stats: the CEGAR lane's counters are the base (the PDR
-  // fields are zero there) with the PDR lane's frame counters grafted on.
-  Result.Stats = Cegar.Last.Stats;
-  const EngineStats &PS = Pdr.Last.Stats;
-  Result.Stats.PdrFrames = PS.PdrFrames;
-  Result.Stats.PdrObligations = PS.PdrObligations;
-  Result.Stats.PdrClausesLearned = PS.PdrClausesLearned;
-  Result.Stats.PdrClausesPushed = PS.PdrClausesPushed;
-  Result.Stats.PdrGenDroppedLits = PS.PdrGenDroppedLits;
-  Result.Stats.PdrFrameQueries = PS.PdrFrameQueries;
-  Result.Stats.PdrFacadeQueries = PS.PdrFacadeQueries;
-  Result.Stats.PdrCexCandidates = PS.PdrCexCandidates;
-  Result.Stats.Resources.PdrObligations = PS.Resources.PdrObligations;
-  Result.Stats.PeakMemoryBytes =
-      std::max(Result.Stats.PeakMemoryBytes, PS.PeakMemoryBytes);
-  Result.Predicates = Cegar.Last.Predicates;
+  {
+    ResourceScope Scope(RC);
+    Result = Run(P, Solver, Opts, Whole);
+  }
+  Result.Stats.Resources = RC.spent();
+  Result.Stats.PeakMemoryBytes = RC.peakMemoryBytes();
+  // Exhaustion is never a verdict: a Safe or Unsafe reached before (or
+  // soundly despite) the trip stands; only Unknown carries the reason.
+  if (Result.Verdict == EngineResult::Verdict::Unknown && RC.exhausted()) {
+    Result.UnknownReason = resourceReasonName(RC.reason());
+    if (Result.Note.empty())
+      Result.Note = "resources exhausted: " + Result.UnknownReason;
+  }
   return Result;
 }
+
+/// The whole-program probe as a schedule call: the search both engines
+/// would otherwise escalate to, run once for both. A verified map is a
+/// complete safety proof whichever engine asked for it.
+EngineResult runProbe(const Program &P, SmtSolver &Solver,
+                      const EngineOptions &Opts, WholeProgramSearch &Whole) {
+  EngineResult Result;
+  escalateToWholeProgram(P, Solver, Opts.Refiner, Whole, Result);
+  return Result;
+}
+
+/// The wall-clock cap on each engine's opening call in the portfolio.
+constexpr double OpeningCapSeconds = 0.05;
+
+/// The portfolio: a fixed schedule of run-to-completion calls sharing one
+/// whole-program search.
+///   1. cegar, capped at OpeningCapSeconds;
+///   2. pdr, capped likewise;
+///   3. the whole-program probe (runProbe);
+///   4. cegar, uncapped;
+///   5. pdr, uncapped.
+/// Each call runs under a fresh controller with the job's limits and its
+/// remaining deadline. The first definitive verdict wins. An engine whose
+/// opening call ended for any reason but the cap has no uncapped call,
+/// and the probe runs only while an engine has one left. A call after the
+/// probe repeats its search only if the probe ran out of memory. The
+/// schedule stops at the job's deadline or cancel flag. When every call ends Unknown, the result
+/// attributes each engine's reason.
+class Portfolio {
+public:
+  Portfolio(const Program &P, SmtSolver &Solver, const EngineOptions &Opts)
+      : P(P), Solver(Solver), Opts(Opts), Start(Clock::now()) {}
+
+  EngineResult run() {
+    for (Contender &E : Contenders) {
+      EngineResult R;
+      Ended End = call(OpeningCapSeconds, E.Run, R);
+      if (End == Ended::NotRun)
+        return exhausted();
+      if (R.Verdict != EngineResult::Verdict::Unknown)
+        return won(std::move(R), E.Name);
+      E.Pending = End == Ended::Capped;
+      E.Last = std::move(R);
+    }
+    if (!Contenders[0].Pending && !Contenders[1].Pending)
+      return exhausted();
+
+    EngineResult Probe;
+    if (call(0, runProbe, Probe) == Ended::NotRun)
+      return exhausted();
+    if (Probe.Verdict == EngineResult::Verdict::Safe) {
+      Probe.Stats.PeakMemoryBytes = PeakMemory;
+      Probe.Note += "; portfolio: shared synthesis probe won the race";
+      return Probe;
+    }
+    // A search that ran out of a step budget would run out again inside
+    // an engine call, which has the same budgets: none repeats it.
+    if (findStepBudget(Probe.UnknownReason))
+      Whole.Completed = true;
+
+    for (Contender &E : Contenders) {
+      if (!E.Pending)
+        continue;
+      EngineResult R;
+      if (call(0, E.Run, R) == Ended::NotRun)
+        return exhausted();
+      if (R.Verdict != EngineResult::Verdict::Unknown)
+        return won(std::move(R), E.Name);
+      E.Pending = false;
+      E.Last = std::move(R);
+    }
+    return exhausted();
+  }
+
+private:
+  using Clock = std::chrono::steady_clock;
+
+  /// How one call of the schedule ended.
+  enum class Ended : uint8_t {
+    NotRun,   ///< The job's deadline had passed or its cancel flag was set.
+    Capped,   ///< The opening cap cut it short.
+    Finished, ///< A verdict, or an Unknown the cap did not cause.
+  };
+
+  /// Runs \p Run as one call of the schedule, cut to \p Cap seconds when
+  /// \p Cap is positive and shorter than the job's remaining time.
+  Ended call(double Cap, EngineFn Run, EngineResult &Out) {
+    ResourceLimits Limits = Opts.Limits;
+    if (Limits.CancelFlag &&
+        Limits.CancelFlag->load(std::memory_order_relaxed)) {
+      Stop = ResourceKind::Cancelled;
+      return Ended::NotRun;
+    }
+    if (Limits.TimeoutSeconds > 0) {
+      Limits.TimeoutSeconds -=
+          std::chrono::duration<double>(Clock::now() - Start).count();
+      if (!(Limits.TimeoutSeconds > 0)) {
+        Stop = ResourceKind::Deadline;
+        return Ended::NotRun;
+      }
+    }
+    bool Capped = Cap > 0 && (Limits.TimeoutSeconds == 0 ||
+                              Cap < Limits.TimeoutSeconds);
+    if (Capped)
+      Limits.TimeoutSeconds = Cap;
+    Out = runGoverned(Run, P, Solver, Opts, Limits, Whole);
+    PeakMemory = std::max(PeakMemory, Out.Stats.PeakMemoryBytes);
+    return Capped && Out.Verdict == EngineResult::Verdict::Unknown &&
+                   Out.UnknownReason ==
+                       resourceReasonName(ResourceKind::Deadline)
+               ? Ended::Capped
+               : Ended::Finished;
+  }
+
+  EngineResult won(EngineResult R, const char *Name) {
+    R.Stats.PeakMemoryBytes = PeakMemory;
+    std::string Won = std::string("portfolio: ") + Name + " won the race";
+    R.Note = R.Note.empty() ? Won : R.Note + "; " + Won;
+    return R;
+  }
+
+  /// Unknown with per-engine attribution, never a verdict. An engine the
+  /// schedule stopped before its last call is charged the stop's reason.
+  EngineResult exhausted() {
+    for (Contender &E : Contenders)
+      if (E.Pending)
+        E.Last.UnknownReason = resourceReasonName(Stop);
+    const EngineResult &Cegar = Contenders[0].Last;
+    const EngineResult &Pdr = Contenders[1].Last;
+    auto describe = [](const EngineResult &R) -> std::string {
+      if (!R.UnknownReason.empty())
+        return R.UnknownReason;
+      return R.Note.empty() ? std::string("unknown") : R.Note;
+    };
+    EngineResult Result;
+    Result.Note = std::string("portfolio exhausted: cegar: ") +
+                  describe(Cegar) + "; pdr: " + describe(Pdr);
+    Result.UnknownReason = !Cegar.UnknownReason.empty() ? Cegar.UnknownReason
+                                                        : Pdr.UnknownReason;
+    // Combined stats: the CEGAR engine's counters are the base (the PDR
+    // fields are zero there) with the PDR engine's frame counters grafted
+    // on.
+    Result.Stats = Cegar.Stats;
+    const EngineStats &PS = Pdr.Stats;
+    Result.Stats.PdrFrames = PS.PdrFrames;
+    Result.Stats.PdrObligations = PS.PdrObligations;
+    Result.Stats.PdrClausesLearned = PS.PdrClausesLearned;
+    Result.Stats.PdrClausesPushed = PS.PdrClausesPushed;
+    Result.Stats.PdrGenDroppedLits = PS.PdrGenDroppedLits;
+    Result.Stats.PdrFrameQueries = PS.PdrFrameQueries;
+    Result.Stats.PdrFacadeQueries = PS.PdrFacadeQueries;
+    Result.Stats.PdrCexCandidates = PS.PdrCexCandidates;
+    Result.Stats.Resources.PdrObligations = PS.Resources.PdrObligations;
+    Result.Stats.PeakMemoryBytes = PeakMemory;
+    Result.Predicates = Cegar.Predicates;
+    return Result;
+  }
+
+  const Program &P;
+  SmtSolver &Solver;
+  const EngineOptions &Opts;
+  const Clock::time_point Start;
+  /// The probe and both engines run at most one whole-program search to
+  /// completion between them.
+  WholeProgramSearch Whole;
+  /// Each engine's latest result, and whether it has a call left.
+  struct Contender {
+    const char *Name;
+    EngineFn Run;
+    EngineResult Last;
+    bool Pending = true;
+  } Contenders[2] = {{"cegar", runCegar, {}}, {"pdr", runPdr, {}}};
+  /// Why the schedule stopped early, if it did.
+  ResourceKind Stop = ResourceKind::Deadline;
+  uint64_t PeakMemory = 0;
+};
 
 } // namespace
 
 EngineResult pathinv::runEngine(const Program &P, SmtSolver &Solver,
                                 const EngineOptions &Opts) {
-  switch (Opts.Engine) {
-  case EngineKind::Cegar:
-    return verify(P, Solver, Opts);
-  case EngineKind::Pdr:
-    return verifyPdr(P, Solver, Opts);
-  case EngineKind::Portfolio:
-    return runPortfolio(P, Solver, Opts);
-  }
-  return verify(P, Solver, Opts);
+  if (Opts.Engine == EngineKind::Portfolio)
+    return Portfolio(P, Solver, Opts).run();
+  WholeProgramSearch Whole;
+  return runGoverned(Opts.Engine == EngineKind::Pdr ? runPdr : runCegar, P,
+                     Solver, Opts, Opts.Limits, Whole);
 }

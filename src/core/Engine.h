@@ -5,22 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The engine abstraction layered above the concrete verification
-/// backends. A VerificationEngine owns the full lifecycle of one job on
-/// one program: construct with the program/solver/options, then run()
-/// until a verdict or exhaustion. Engines must be *resumable*: when the
-/// active ResourceController pauses them mid-run (a portfolio time slice,
-/// see ResourceController::beginSlice), run() returns Unknown with the
-/// controller in the slicePaused state, and a later run() call continues
-/// from the retained internal state instead of starting over.
-///
-/// Two backends implement the interface — the CEGAR+path-invariants loop
-/// (cegar/Engine.h) and the PDR/IC3 clause-frame engine (pdr/Pdr.h) —
-/// and runEngine() dispatches between them or races both in portfolio
-/// mode: time-sliced round-robin under two independent controllers, with
-/// sticky cancellation of the loser the moment either lane returns a
-/// definitive verdict. Exhaustion is never a verdict: a portfolio whose
-/// lanes both exhaust reports Unknown with per-engine reason attribution.
+/// The types every verification backend shares (options, stats, result)
+/// and the dispatcher above them. Two backends run one job each as a
+/// plain run-to-completion call: the CEGAR+path-invariants loop
+/// (cegar/Engine.h) and the PDR/IC3 clause-frame engine (pdr/Pdr.h).
+/// runEngine() runs the selected one under a fresh ResourceController,
+/// or runs the portfolio: a fixed schedule of such calls (each engine
+/// capped at 50 ms, the shared whole-program probe, then each engine
+/// uncapped) in which the first definitive verdict wins. Exhaustion is
+/// never a verdict: a portfolio whose calls all end Unknown reports
+/// Unknown with per-engine reason attribution.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +26,6 @@
 #include "interp/Interpreter.h"
 #include "synth/InvariantMap.h"
 
-#include <memory>
 #include <string>
 
 namespace pathinv {
@@ -41,7 +34,7 @@ namespace pathinv {
 enum class EngineKind : uint8_t {
   Cegar,     ///< CEGAR + path-invariant synthesis (the paper's engine).
   Pdr,       ///< IC3/PDR clause frames over the transition relation.
-  Portfolio, ///< Race both engines, first definitive verdict wins.
+  Portfolio, ///< Both on a fixed schedule, first definitive verdict wins.
 };
 
 /// Machine-readable engine name ("cegar", "pdr", "portfolio").
@@ -68,14 +61,12 @@ struct EngineOptions {
   /// Which backend runs the job (or Portfolio to race them).
   EngineKind Engine = EngineKind::Cegar;
   RefinerKind Refiner = RefinerKind::PathInvariant;
-  PathInvOptions PathInv;
   /// Resource governance: wall-clock deadline, memory ceiling, per-layer
   /// step budgets; a zero field is unlimited. Exhaustion surfaces as
   /// Verdict::Unknown with EngineResult::UnknownReason set — never as a
   /// wrong verdict, a crash, or an unusable solver. In portfolio mode
-  /// each lane gets its own controller carrying the full job limits (the
-  /// wall deadline is shared in real time because the lanes interleave on
-  /// one thread).
+  /// each call of the schedule gets its own controller carrying the full
+  /// step budgets and the job's remaining wall deadline.
   ResourceLimits Limits;
 };
 
@@ -199,44 +190,8 @@ struct EngineResult {
   std::string UnknownReason;
 };
 
-/// One verification backend bound to one job. Engines hold their working
-/// state (ARG / clause frames, solver contexts, precision) across run()
-/// calls so a slice-paused job resumes instead of restarting.
-class VerificationEngine {
-public:
-  virtual ~VerificationEngine() = default;
-
-  /// Machine-readable backend name ("cegar", "pdr").
-  virtual const char *name() const = 0;
-
-  /// Runs (or resumes) the job until verdict, exhaustion, or slice pause.
-  /// Charges steps against the thread's active ResourceController; when
-  /// that controller reports slicePaused() after run() returns, the
-  /// result is a provisional Unknown and a later run() continues.
-  virtual EngineResult run() = 0;
-};
-
-/// Stamps the governed-run epilogue onto \p Result: resource spend, peak
-/// memory, and — only for a genuinely exhausted (not slice-paused) run
-/// that ends Unknown — the machine-readable reason.
-inline void finalizeEngineResult(EngineResult &Result,
-                                 const ResourceController &RC) {
-  Result.Stats.Resources = RC.spent();
-  Result.Stats.PeakMemoryBytes = RC.peakMemoryBytes();
-  if (Result.Verdict == EngineResult::Verdict::Unknown && RC.exhausted() &&
-      !RC.slicePaused())
-    Result.UnknownReason = resourceReasonName(RC.reason());
-}
-
-/// Constructs the backend \p Kind (Cegar or Pdr; Portfolio is a driver,
-/// not a backend — runEngine handles it) bound to \p P / \p Solver and
-/// to the job's whole-program search \p Whole.
-std::unique_ptr<VerificationEngine>
-makeEngine(EngineKind Kind, const Program &P, SmtSolver &Solver,
-           const EngineOptions &Opts, WholeProgramSearch &Whole);
-
 /// Verifies \p P with the backend Opts.Engine selects, installing a
-/// ResourceController per job (per lane in portfolio mode) and
+/// ResourceController per job (per call in portfolio mode) and
 /// finalizing stats/reasons. This is the single entry point the CLI,
 /// bench harness, and tests share.
 EngineResult runEngine(const Program &P, SmtSolver &Solver,

@@ -103,32 +103,10 @@ void ResourceController::start() {
 }
 
 void ResourceController::cancel(ResourceKind Reason) {
-  if (Tripped && !SlicePaused)
-    return; // First real reason wins.
-  // A real cancellation converts a transient slice pause into a sticky
-  // trip (the portfolio cancelling the losing lane mid-pause).
-  SlicePaused = false;
+  if (Tripped)
+    return; // First reason wins.
   Tripped = true;
   TripReason = Reason;
-}
-
-void ResourceController::beginSlice(double Seconds) {
-  SliceDeadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(Seconds));
-  SliceArmed = true;
-  // Force the first charge of the slice through a full poll so a slice
-  // shorter than one amortization window still gets noticed.
-  ChargesSincePoll = PollInterval;
-}
-
-void ResourceController::endSlice() {
-  SliceArmed = false;
-  if (SlicePaused) {
-    SlicePaused = false;
-    Tripped = false;
-  }
 }
 
 bool ResourceController::pollNow() {
@@ -170,14 +148,6 @@ bool ResourceController::pollNow() {
       cancel(ResourceKind::Memory);
       return false;
     }
-  }
-  // The portfolio slice deadline is checked last: every real limit takes
-  // precedence, so a pause is only reported when the job could otherwise
-  // continue.
-  if (SliceArmed && std::chrono::steady_clock::now() >= SliceDeadline) {
-    Tripped = true;
-    SlicePaused = true;
-    return false;
   }
   return true;
 }

@@ -78,8 +78,8 @@ struct ResourceLimits {
   /// request cooperative cancellation — pathinvd's drain path cancels
   /// in-flight jobs this way. The flag is polled, never written, by the
   /// controller; it propagates into every controller constructed from
-  /// these limits (portfolio lanes, the shared synthesis probe), so one
-  /// store cancels the whole job tree.
+  /// these limits (each call of the portfolio schedule), and the schedule
+  /// checks it between calls, so one store cancels the whole job.
   const std::atomic<bool> *CancelFlag = nullptr;
 };
 
@@ -175,27 +175,12 @@ public:
   }
 
   /// Unamortized poll: cancellation flag, injected faults, deadline,
-  /// memory probe, slice deadline. \returns true to proceed.
+  /// memory probe. \returns true to proceed.
   bool pollNow();
 
   /// Trips the controller with \p Reason (first reason wins). Safe to call
-  /// from any layer; subsequent charges fail. A real cancellation
-  /// overrides a transient slice pause (see beginSlice).
+  /// from any layer; subsequent charges fail.
   void cancel(ResourceKind Reason = ResourceKind::Cancelled);
-
-  /// Portfolio time-slicing: arms a transient deadline \p Seconds from
-  /// now. When it passes, charges start failing exactly as on a real trip
-  /// — every layer unwinds through its normal checked-status path — but
-  /// the pause is NOT sticky: endSlice() rearms the controller and the
-  /// engine may resume. Real limits always win over a slice pause: they
-  /// are checked first, and cancel() overrides a pause.
-  void beginSlice(double Seconds);
-  /// Disarms the slice deadline and clears a slice-only pause. Real trips
-  /// (deadline, budgets, cancellation) survive.
-  void endSlice();
-  /// \returns true while the controller is tripped only by the slice
-  /// deadline — the engine was paused, not exhausted.
-  bool slicePaused() const { return SlicePaused; }
 
   /// \returns true once any limit has tripped.
   bool exhausted() const { return Tripped; }
@@ -232,10 +217,7 @@ private:
   ResourceSpent Used;
   std::function<uint64_t()> MemoryProbe;
   std::chrono::steady_clock::time_point Deadline{};
-  std::chrono::steady_clock::time_point SliceDeadline{};
   bool DeadlineArmed = false;
-  bool SliceArmed = false;
-  bool SlicePaused = false;
   bool Tripped = false;
   ResourceKind TripReason = ResourceKind::Cancelled;
   uint32_t ChargesSincePoll = 0;

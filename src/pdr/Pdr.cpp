@@ -11,7 +11,6 @@
 #include "program/PathFormula.h"
 #include "smt/FrameQuery.h"
 #include "smt/SmtSolver.h"
-#include "support/BigInt.h"
 #include "synth/PathInvariants.h"
 
 #include <algorithm>
@@ -24,21 +23,18 @@ using namespace pathinv::pdr;
 
 namespace {
 
-/// Whether the abstract search should keep going (Ok) or unwind to
-/// run()'s epilogue (Stop — verdict reached, resources out, slice pause,
-/// or an unanalyzable query; run() tells the cases apart afterwards).
+/// Whether the abstract search should keep going (Ok) or end the run
+/// (Stop — verdict reached, resources out, or an unanalyzable query;
+/// Result says which).
 enum class Step : uint8_t { Ok, Stop };
 
-} // namespace
-
-/// The whole engine state, persistent across run() calls: frames, the
-/// obligation arena + queue, the atom pool, the two solver paths
-/// (incremental frame-query context and the one-shot facade for
-/// store-carrying relations), and the CEGAR-shared precision that grows
-/// the pool on refinement.
-struct PdrEngine::Impl {
-  Impl(const Program &P, SmtSolver &Solver, const EngineOptions &Opts,
-       WholeProgramSearch &Whole)
+/// The state of one PDR run: frames, the obligation arena + queue, the
+/// atom pool, the two solver paths (incremental frame-query context and
+/// the one-shot facade for store-carrying relations), and the
+/// CEGAR-shared precision that grows the pool on refinement.
+struct PdrRun {
+  PdrRun(const Program &P, SmtSolver &Solver, const EngineOptions &Opts,
+         WholeProgramSearch &Whole)
       : P(P), Solver(Solver), Opts(Opts), TM(P.termManager()),
         FQ(TM), F(P), Incoming(static_cast<size_t>(P.numLocations())),
         Whole(Whole) {
@@ -49,7 +45,7 @@ struct PdrEngine::Impl {
 
   const Program &P;
   SmtSolver &Solver;
-  EngineOptions Opts;
+  const EngineOptions &Opts;
   TermManager &TM;
   smt::FrameQueryContext FQ;
   Frames F;
@@ -79,7 +75,6 @@ struct PdrEngine::Impl {
   uint64_t Seq = 0;
 
   WholeProgramSearch &Whole;
-  bool Done = false; ///< Terminal (not just slice-paused) outcome.
 
   // -- helpers ------------------------------------------------------------
 
@@ -156,10 +151,9 @@ struct PdrEngine::Impl {
     return Steps;
   }
 
-  /// A query came back Unknown: the controller tripped mid-check (real
-  /// exhaustion or a portfolio slice pause), or the formula left the
-  /// supported fragment. Either way the verdict is Unknown; run()'s
-  /// epilogue distinguishes pause from terminal via slicePaused().
+  /// A query came back Unknown: the controller tripped mid-check, or the
+  /// formula left the supported fragment. Either way the verdict is
+  /// Unknown.
   Step unknownQuery() {
     Result.Note = resourceExhausted()
                       ? "resources exhausted during pdr frame query"
@@ -172,8 +166,7 @@ struct PdrEngine::Impl {
   Step handleCexCandidate(int NodeIdx);
   Step refineSpurious(const Path &Cex);
   bool escalate() {
-    return escalateToWholeProgram(P, Solver, Opts.Refiner, Opts.PathInv,
-                                  Whole, Result);
+    return escalateToWholeProgram(P, Solver, Opts.Refiner, Whole, Result);
   }
   Step badCheck(bool &Found);
   Step pushPhase();
@@ -184,8 +177,8 @@ struct PdrEngine::Impl {
 /// A frame query found a concrete one-step predecessor: extend the
 /// obligation chain toward the initial states and retry the parent once
 /// the predecessor is dealt with.
-Step PdrEngine::Impl::descend(int NodeIdx, size_t Level, int TransIdx,
-                              const smt::Model &M) {
+Step PdrRun::descend(int NodeIdx, size_t Level, int TransIdx,
+                     const smt::Model &M) {
   Cube PC = cubeFromModel(M);
   LocId From = P.transition(TransIdx).From;
   Nodes.push_back({From, std::move(PC), NodeIdx, TransIdx});
@@ -194,7 +187,7 @@ Step PdrEngine::Impl::descend(int NodeIdx, size_t Level, int TransIdx,
   return Step::Ok;
 }
 
-Step PdrEngine::Impl::processNext() {
+Step PdrRun::processNext() {
   auto It = Queue.begin();
   size_t Level = std::get<0>(*It);
   int NodeIdx = std::get<2>(*It);
@@ -291,7 +284,7 @@ Step PdrEngine::Impl::processNext() {
 /// path entry → error. Decide it concretely — a satisfiable path formula
 /// is a real bug; an unsatisfiable one sends the path through the CEGAR
 /// refinement ladder to grow the pool.
-Step PdrEngine::Impl::handleCexCandidate(int NodeIdx) {
+Step PdrRun::handleCexCandidate(int NodeIdx) {
   ++Result.Stats.PdrCexCandidates;
   Path Cex = pathFromNode(NodeIdx);
   PathFormula PF = buildPathFormula(P, Cex);
@@ -312,16 +305,15 @@ Step PdrEngine::Impl::handleCexCandidate(int NodeIdx) {
   return refineSpurious(Cex);
 }
 
-Step PdrEngine::Impl::refineSpurious(const Path &Cex) {
+Step PdrRun::refineSpurious(const Path &Cex) {
   if (!resourceCharge(ResourceKind::Refinements)) {
     Result.Note = "resources exhausted before refinement";
     return Step::Stop;
   }
   // A path program that fails a template level escalates to the
   // whole-program search before trying the next level.
-  RefineResult Refined =
-      refine(P, Cex, Result.Predicates, Solver, Opts.Refiner, Opts.PathInv,
-             [this] { return escalate(); });
+  RefineResult Refined = refine(P, Cex, Result.Predicates, Solver,
+                                Opts.Refiner, [this] { return escalate(); });
   Result.Stats.LpChecks += Refined.LpChecks;
   Result.Stats.TemplateLevelsTried += Refined.TemplateLevelsTried;
   Result.Stats.addSynthLearning(Refined.Learn);
@@ -330,9 +322,8 @@ Step PdrEngine::Impl::refineSpurious(const Path &Cex) {
     return Step::Stop;
   }
   if (!Refined.Progress && resourceExhausted()) {
-    // Interrupted mid-refinement (slice pause or real exhaustion):
-    // report without counting the refinement or consuming the escalation,
-    // so a resumed run retries this path with the full machinery.
+    // Interrupted mid-refinement: report Unknown without counting the
+    // refinement or consuming the escalation.
     Result.Note = "resources exhausted during refinement";
     return Step::Stop;
   }
@@ -373,7 +364,7 @@ Step PdrEngine::Impl::refineSpurious(const Path &Cex) {
 /// The frontier bad-state check: can any transition into the error
 /// location fire from F_k? The first satisfiable one roots a new
 /// obligation chain from its model.
-Step PdrEngine::Impl::badCheck(bool &Found) {
+Step PdrRun::badCheck(bool &Found) {
   Found = false;
   size_t K = F.frontier();
   for (int TIdx : Incoming[static_cast<size_t>(P.error())]) {
@@ -413,7 +404,7 @@ Step PdrEngine::Impl::badCheck(bool &Found) {
 /// Clause propagation after a frontier extension: a cube at delta i that
 /// is still relatively inductive one level higher moves to delta i+1.
 /// When a whole delta level drains, tryFixpoint() detects F_i == F_{i+1}.
-Step PdrEngine::Impl::pushPhase() {
+Step PdrRun::pushPhase() {
   for (size_t Level = 1; Level < F.frontier(); ++Level) {
     for (int Loc = 0; Loc < P.numLocations(); ++Loc) {
       size_t I = 0;
@@ -470,9 +461,9 @@ Step PdrEngine::Impl::pushPhase() {
 
 /// Fixpoint detection + the Safe epilogue. A drained delta level means
 /// F_i == F_{i+1}; the exported invariant map is validated independently
-/// with checkInvariantMap before the verdict is reported — a validation
-/// failure degrades to Unknown, never to a wrong verdict.
-Step PdrEngine::Impl::tryFixpoint() {
+/// with checkInvariantMap before the verdict is reported — a refuted or
+/// undecided validation degrades to Unknown, never to a wrong verdict.
+Step PdrRun::tryFixpoint() {
   int Fix = F.fixpointLevel();
   if (Fix < 0)
     return Step::Ok;
@@ -481,10 +472,14 @@ Step PdrEngine::Impl::tryFixpoint() {
          "pdr frame trail ill-formed at fixpoint");
   InvariantCheckResult Check = checkInvariantMap(P, Map, Solver);
   if (!Check.Ok) {
-    Result.Note = resourceExhausted()
-                      ? "resources exhausted validating pdr fixpoint"
-                      : "pdr fixpoint failed independent validation: " +
-                            Check.FailureReason;
+    if (!Check.Undecided)
+      Result.Note = "pdr fixpoint failed independent validation: " +
+                    Check.FailureReason;
+    else if (resourceExhausted())
+      Result.Note = "resources exhausted validating pdr fixpoint";
+    else
+      Result.Note = "pdr fixpoint validation undecided: " +
+                    Check.FailureReason;
     return Step::Stop;
   }
   std::vector<std::pair<LocId, const Term *>> Localized;
@@ -498,7 +493,7 @@ Step PdrEngine::Impl::tryFixpoint() {
   return Step::Stop;
 }
 
-void PdrEngine::Impl::runLoop() {
+void PdrRun::runLoop() {
   if (P.entry() == P.error()) {
     // Degenerate: the error location is initial.
     Result.Verdict = EngineResult::Verdict::Unsafe;
@@ -526,43 +521,14 @@ void PdrEngine::Impl::runLoop() {
   }
 }
 
-PdrEngine::PdrEngine(const Program &P, SmtSolver &Solver,
-                     const EngineOptions &Opts, WholeProgramSearch &Whole)
-    : I(std::make_unique<Impl>(P, Solver, Opts, Whole)) {}
+} // namespace
 
-PdrEngine::~PdrEngine() = default;
-
-EngineResult PdrEngine::run() {
-  if (I->Done)
-    return I->Result;
-  // A resumed run starts clean: the previous pause's provisional note
-  // must not leak into the continued job's outcome.
-  I->Result.Note.clear();
-  I->Result.UnknownReason.clear();
-  I->runLoop();
-  I->Result.Stats.PdrFrames = I->F.frontier();
-  I->Result.Stats.FinalPredicates = I->Result.Predicates.totalPredicates();
-  ResourceController *RC = ResourceController::active();
-  bool Paused = I->Result.Verdict == EngineResult::Verdict::Unknown && RC &&
-                RC->slicePaused();
-  I->Done = !Paused;
-  return I->Result;
-}
-
-EngineResult pathinv::verifyPdr(const Program &P, SmtSolver &Solver,
-                                const EngineOptions &Opts) {
-  ResourceController RC(Opts.Limits);
-  TermManager &TM = P.termManager();
-  RC.setMemoryProbe([&TM]() -> uint64_t {
-    return static_cast<uint64_t>(TM.arenaBytes()) + bigIntHeapBytes();
-  });
-  RC.start();
-  ResourceScope Scope(RC);
-  WholeProgramSearch Whole;
-  PdrEngine Engine(P, Solver, Opts, Whole);
-  EngineResult Result = Engine.run();
-  finalizeEngineResult(Result, RC);
-  if (!Result.UnknownReason.empty() && Result.Note.empty())
-    Result.Note = std::string("resources exhausted: ") + Result.UnknownReason;
-  return Result;
+EngineResult pathinv::runPdr(const Program &P, SmtSolver &Solver,
+                             const EngineOptions &Opts,
+                             WholeProgramSearch &Whole) {
+  PdrRun Run(P, Solver, Opts, Whole);
+  Run.runLoop();
+  Run.Result.Stats.PdrFrames = Run.F.frontier();
+  Run.Result.Stats.FinalPredicates = Run.Result.Predicates.totalPredicates();
+  return std::move(Run.Result);
 }

@@ -36,29 +36,11 @@
 
 namespace pathinv {
 
-/// The PDR backend. Frames, the obligation queue, the predicate pool,
-/// and the solver contexts persist across run() calls, so a slice-paused
-/// job resumes where it stopped. \p Whole is the job's whole-program
-/// search, owned by the caller.
-class PdrEngine final : public VerificationEngine {
-public:
-  PdrEngine(const Program &P, SmtSolver &Solver, const EngineOptions &Opts,
-            WholeProgramSearch &Whole);
-  ~PdrEngine() override;
-
-  const char *name() const override { return "pdr"; }
-  EngineResult run() override;
-
-private:
-  struct Impl;
-  std::unique_ptr<Impl> I;
-};
-
-/// Verifies \p P with the PDR engine under a fresh per-job
-/// ResourceController built from Opts.Limits (the PDR counterpart of
-/// pathinv::verify).
-EngineResult verifyPdr(const Program &P, SmtSolver &Solver,
-                       const EngineOptions &Opts = {});
+/// Verifies \p P with the PDR engine under the thread's active
+/// ResourceController, the PDR counterpart of runCegar. \p Whole is the
+/// job's whole-program search, owned by the caller.
+EngineResult runPdr(const Program &P, SmtSolver &Solver,
+                    const EngineOptions &Opts, WholeProgramSearch &Whole);
 
 } // namespace pathinv
 

@@ -144,7 +144,9 @@ bool pathinv::serve::revalidateEntry(const Program &P, SmtSolver &Solver,
     }
     InvariantCheckResult Check = checkInvariantMap(P, Map.get(), Solver);
     if (!Check.Ok) {
-      WhyNot = "certificate check: " + Check.FailureReason;
+      WhyNot = (Check.Undecided ? "certificate check undecided: "
+                                : "certificate check: ") +
+               Check.FailureReason;
       return false;
     }
     R.Verdict = EngineResult::Verdict::Safe;

@@ -17,6 +17,18 @@
 using namespace pathinv;
 using namespace pathinv::serve;
 
+namespace {
+
+/// Budget and deadline growth per ladder rung (see serve/Server.h).
+constexpr uint64_t EscalationFactor = 4;
+constexpr double TimeoutEscalation = 2.0;
+/// A worker whose term arena outgrows this recycles its whole
+/// verification stack after the current job (fresh TermManager +
+/// solvers), bounding the memory of a long-lived worker.
+constexpr uint64_t WorkerRecycleArenaBytes = 512ull << 20;
+
+} // namespace
+
 Server::Server(ServeOptions O) : Opts(O), Cache(O.CacheCapacity) {
   unsigned Want = Opts.Workers
                       ? Opts.Workers
@@ -226,8 +238,7 @@ void Server::runJob(PendingJob &Job, std::unique_ptr<Verifier> &Stack,
   // Long-lived worker hygiene: a job that bloated the arena retires this
   // stack (terms are arena-allocated and never freed individually, so
   // the bound has to be per-stack, not per-term).
-  if (Opts.WorkerRecycleArenaBytes &&
-      Stack->termManager().arenaBytes() > Opts.WorkerRecycleArenaBytes) {
+  if (Stack->termManager().arenaBytes() > WorkerRecycleArenaBytes) {
     Stack = std::make_unique<Verifier>();
     std::lock_guard<std::mutex> Lock(StatsMu);
     ++Counters.WorkerRecycles;
@@ -259,7 +270,7 @@ Server::escalatedLimits(const ResourceLimits &Base, int Attempt,
   for (int I = 0; I < Attempt; ++I) {
     if (Factor > (uint64_t(1) << 48)) // Saturate well before overflow.
       break;
-    Factor *= Opts.EscalationFactor ? Opts.EscalationFactor : 1;
+    Factor *= EscalationFactor;
   }
   auto Grow = [&](uint64_t &Budget) {
     if (Budget == 0)
@@ -270,13 +281,13 @@ Server::escalatedLimits(const ResourceLimits &Base, int Attempt,
   for (const StepBudget &B : StepBudgets)
     Grow(L.*B.Limit);
   if (L.TimeoutSeconds > 0)
-    L.TimeoutSeconds *= std::pow(Opts.TimeoutEscalation, Attempt);
+    L.TimeoutSeconds *= std::pow(TimeoutEscalation, Attempt);
   L.CancelFlag = &Cancel;
   return L;
 }
 
 EngineKind Server::ladderEngine(EngineKind Requested, int Attempt) const {
-  // Portfolio already races both lanes; escalating budgets is all the
+  // Portfolio already runs both engines; escalating budgets is all the
   // ladder can add.
   if (Requested == EngineKind::Portfolio)
     return EngineKind::Portfolio;

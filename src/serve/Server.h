@@ -32,13 +32,12 @@
 ///    job is answered exactly once.
 ///
 /// The escalation ladder is a deterministic function of the request:
-/// attempt k multiplies every finite step budget by EscalationFactor^k
-/// and the wall deadline by TimeoutEscalation^k; the engine lane stays
-/// as requested for attempts 0..1, switches to the opposite single
-/// engine for attempt 2, and races the portfolio from attempt 3 on
-/// (portfolio requests stay portfolio throughout). Retries trigger only
-/// on resource-reasoned Unknowns — never on verdicts, parse errors, or
-/// cancellation.
+/// attempt k multiplies every finite step budget by 4^k and the wall
+/// deadline by 2^k; the engine lane stays as requested for attempts
+/// 0..1, switches to the opposite single engine for attempt 2, and runs
+/// the portfolio from attempt 3 on (portfolio requests stay portfolio
+/// throughout). Retries trigger only on resource-reasoned Unknowns —
+/// never on verdicts, parse errors, or cancellation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,15 +84,8 @@ struct ServeOptions {
   /// Exponential backoff between attempts: base * 2^(attempt-1), capped.
   double BackoffBaseSeconds = 0.05;
   double BackoffCapSeconds = 2.0;
-  /// Budget/deadline growth per ladder rung.
-  uint64_t EscalationFactor = 4;
-  double TimeoutEscalation = 2.0;
   /// Verdict cache (entries; 0 disables).
   size_t CacheCapacity = 4096;
-  /// A worker whose term arena outgrows this recycles its whole
-  /// verification stack after the current job (fresh TermManager +
-  /// solvers), bounding the memory of a long-lived worker. 0 disables.
-  uint64_t WorkerRecycleArenaBytes = 512ull << 20;
 
   ServeOptions() {
     // Finite-by-default per-job governance (generous for the paper-scale

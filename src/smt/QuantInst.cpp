@@ -109,10 +109,14 @@ const Term *pathinv::instantiateQuantifiers(TermManager &TM, const Term *F,
   return Ground;
 }
 
+const Term *pathinv::entailmentQuery(TermManager &TM, const Term *Hyp,
+                                     const Term *Concl) {
+  uint64_t LocalCounter = 0;
+  return instantiateQuantifiers(TM, TM.mkAnd(Hyp, TM.mkNot(Concl)),
+                                LocalCounter);
+}
+
 bool pathinv::entailsWithQuant(TermManager &TM, SmtSolver &Solver,
                                const Term *Hyp, const Term *Concl) {
-  const Term *Query = TM.mkAnd(Hyp, TM.mkNot(Concl));
-  uint64_t LocalCounter = 0;
-  const Term *Ground = instantiateQuantifiers(TM, Query, LocalCounter);
-  return Solver.isUnsat(Ground);
+  return Solver.isUnsat(entailmentQuery(TM, Hyp, Concl));
 }

@@ -41,12 +41,18 @@ class SmtSolver;
 const Term *instantiateQuantifiers(TermManager &TM, const Term *F,
                                    uint64_t &FreshCounter);
 
+/// The ground query behind entailsWithQuant: `Hyp /\ !Concl` with its
+/// quantifiers instantiated, unsatisfiable only if \p Hyp entails
+/// \p Concl. Skolem names restart per query so identical queries produce
+/// identical ground formulas — keeping the SMT solver's memoization
+/// effective across the many repeated queries of predicate abstraction.
+const Term *entailmentQuery(TermManager &TM, const Term *Hyp,
+                            const Term *Concl);
+
 /// Sound entailment with quantifiers: returns true only if
 /// \p Hyp entails \p Concl. (May return false on entailments outside the
-/// array-property fragment.) Skolem names restart per query so identical
-/// queries produce identical ground formulas — keeping the SMT solver's
-/// memoization effective across the many repeated queries of predicate
-/// abstraction.
+/// array-property fragment, and when the solver cannot decide the
+/// entailmentQuery.)
 bool entailsWithQuant(TermManager &TM, SmtSolver &Solver, const Term *Hyp,
                       const Term *Concl);
 

@@ -15,6 +15,11 @@ using namespace pathinv;
 
 namespace {
 
+/// Generation limits: disjunctive branches of one segment's DNF, and
+/// quantified hypotheses instantiated per segment.
+constexpr size_t MaxBranchesPerSegment = 64;
+constexpr size_t MaxHypInstantiations = 4;
+
 /// Array write within a segment, in SSA form with alias roots resolved.
 struct StoreInfo {
   const Term *Defined = nullptr; ///< Defined array instance (root).
@@ -106,10 +111,9 @@ Row leRow(LinearExpr E, int64_t Delta = 0) {
 class Generator {
 public:
   Generator(const Program &P, const std::set<LocId> &Cuts,
-            const TemplateMap &Templates, UnknownPool &Pool,
-            const GenOptions &Opts)
+            const TemplateMap &Templates, UnknownPool &Pool)
       : P(P), TM(P.termManager()), Cuts(Cuts), Templates(Templates),
-        Pool(Pool), Opts(Opts) {}
+        Pool(Pool) {}
 
   GenResult run() {
     GenResult Result;
@@ -157,7 +161,7 @@ private:
       for (const Term *Step : PF.StepFormulas)
         flattenConjuncts(Step, All);
       if (!expandDNF(TM, TM.mkAnd(All), Branches,
-                     Opts.MaxBranchesPerSegment))
+                     MaxBranchesPerSegment))
         return fail("disjunctive branch explosion in segment");
     }
 
@@ -363,7 +367,7 @@ private:
     for (const LinearExpr &E : Diseqs) {
       std::vector<std::vector<Row>> Next;
       for (const auto &Base : RowSets) {
-        if (Next.size() + 2 > Opts.MaxBranchesPerSegment * 2)
+        if (Next.size() + 2 > MaxBranchesPerSegment * 2)
           return fail("disequality split explosion");
         std::vector<Row> Left = Base;
         Left.push_back(leRow(E, 1)); // e <= -1
@@ -452,7 +456,7 @@ private:
       for (const Term *Extra : ExtraReadTerms)
         scan(Extra);
       for (const Term *Read : Reads) {
-        if (Candidates.size() >= Opts.MaxHypInstantiations)
+        if (Candidates.size() >= MaxHypInstantiations)
           break;
         auto Idx = LinearExpr::fromTerm(Read->operand(1));
         if (!Idx)
@@ -654,7 +658,6 @@ private:
   const std::set<LocId> &Cuts;
   const TemplateMap &Templates;
   UnknownPool &Pool;
-  GenOptions Opts;
   std::vector<Condition> Conditions;
   std::string Error;
   uint64_t SkolemCounter = 0;
@@ -665,8 +668,7 @@ private:
 GenResult pathinv::generateConditions(const Program &P,
                                       const std::set<LocId> &Cuts,
                                       const TemplateMap &Templates,
-                                      UnknownPool &Pool,
-                                      const GenOptions &Opts) {
-  Generator G(P, Cuts, Templates, Pool, Opts);
+                                      UnknownPool &Pool) {
+  Generator G(P, Cuts, Templates, Pool);
   return G.run();
 }

@@ -56,12 +56,6 @@ struct Condition {
   std::vector<ConditionAlternative> Alternatives;
 };
 
-/// Generation limits.
-struct GenOptions {
-  size_t MaxBranchesPerSegment = 64;
-  size_t MaxHypInstantiations = 4;
-};
-
 /// Output of condition generation.
 struct GenResult {
   bool Ok = false;
@@ -73,8 +67,7 @@ struct GenResult {
 /// \p P. Template parameters and Farkas multipliers are drawn from
 /// \p Pool.
 GenResult generateConditions(const Program &P, const std::set<LocId> &Cuts,
-                             const TemplateMap &Templates, UnknownPool &Pool,
-                             const GenOptions &Opts = {});
+                             const TemplateMap &Templates, UnknownPool &Pool);
 
 } // namespace pathinv
 

@@ -64,6 +64,8 @@ InvariantCheckResult pathinv::checkInvariantMap(const Program &P,
 
   // (I1) Inductiveness, segment-composed:
   //   eta(src)[X -> X@0] /\ SSA(segment) |= eta(dst)[X -> X@final].
+  // A refuted segment ends the check; an undecided one is remembered
+  // while the rest may still refute the map.
   for (const std::vector<int> &Seg : cutToCutPaths(P, Cuts)) {
     LocId Src = P.transition(Seg.front()).From;
     LocId Dst = P.transition(Seg.back()).To;
@@ -78,15 +80,24 @@ InvariantCheckResult pathinv::checkInvariantMap(const Program &P,
     const Term *PreRenamed = substitute(TM, Pre, PF.InitialVars);
     const Term *PostRenamed = substitute(TM, Post, PF.FinalVars);
     const Term *Hyp = TM.mkAnd(PreRenamed, PF.formula(TM));
-    if (!entailsWithQuant(TM, Solver, Hyp, PostRenamed)) {
-      Result.FailureReason =
-          "inductiveness fails on segment " + P.locationName(Src) +
-          " ~> " + P.locationName(Dst) +
-          " for target " + printTerm(Post);
+    SmtSolver::Status S =
+        Solver.checkSat(entailmentQuery(TM, Hyp, PostRenamed));
+    if (S == SmtSolver::Status::Unsat)
+      continue;
+    std::string Where = " on segment " + P.locationName(Src) + " ~> " +
+                        P.locationName(Dst) + " for target " +
+                        printTerm(Post);
+    if (S == SmtSolver::Status::Sat) {
+      Result.Undecided = false;
+      Result.FailureReason = "inductiveness fails" + Where;
       return Result;
     }
+    if (!Result.Undecided) {
+      Result.Undecided = true;
+      Result.FailureReason = "inductiveness undecided" + Where;
+    }
   }
-  Result.Ok = true;
+  Result.Ok = !Result.Undecided;
   return Result;
 }
 

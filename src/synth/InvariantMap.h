@@ -57,12 +57,20 @@ struct InvariantMap {
 /// Result of checking an invariant map.
 struct InvariantCheckResult {
   bool Ok = false;
-  std::string FailureReason; ///< Human-readable violated obligation.
+  /// Not Ok because the solver could not decide an obligation (resources
+  /// ran out, or the query defeated it), while none was refuted: the map
+  /// may still be valid.
+  bool Undecided = false;
+  /// Human-readable violated obligation (the undecided one when
+  /// Undecided).
+  std::string FailureReason;
 };
 
 /// Verifies (I0)-(I2) for \p Map over \p P. Conditions are checked with
 /// sound quantifier instantiation; a false negative is possible outside
-/// the array-property fragment, a false positive is not.
+/// the array-property fragment, a false positive is not. An obligation
+/// the solver cannot decide makes the result Undecided unless another
+/// one is refuted.
 InvariantCheckResult checkInvariantMap(const Program &P,
                                        const InvariantMap &Map,
                                        SmtSolver &Solver);

@@ -16,13 +16,13 @@ using namespace pathinv;
 
 PathInvResult
 pathinv::generatePathInvariants(const Program &P, SmtSolver &Solver,
-                                const PathInvOptions &Opts,
+                                const SynthOptions &Opts,
                                 const LevelFailedHook &OnLevelFailed) {
   TermManager &TM = P.termManager();
   PathInvResult Result;
   std::set<LocId> Cuts = computeCutSet(P);
 
-  for (int Level = 0; Level <= Opts.MaxTemplateLevel; ++Level) {
+  for (int Level = 0; Level <= MaxTemplateLevel; ++Level) {
     // Reaching a level above 0 means the one below failed.
     if (Level > 0 && OnLevelFailed && OnLevelFailed()) {
       Result.Stopped = true;
@@ -32,13 +32,13 @@ pathinv::generatePathInvariants(const Program &P, SmtSolver &Solver,
     UnknownPool Pool;
     TemplateMap Templates = proposeTemplates(P, Cuts, Pool, Level);
 
-    GenResult Gen = generateConditions(P, Cuts, Templates, Pool, Opts.Gen);
+    GenResult Gen = generateConditions(P, Cuts, Templates, Pool);
     if (!Gen.Ok) {
       Result.FailureReason = "condition generation: " + Gen.Error;
       return Result;
     }
 
-    SynthResult Synth = solveConditions(Pool, Gen.Conditions, Opts.Synth);
+    SynthResult Synth = solveConditions(Pool, Gen.Conditions, Opts);
     Result.LpChecks += Synth.LpChecks;
     Result.Learn.add(Synth.Learn);
     if (!Synth.Found) {
@@ -60,13 +60,11 @@ pathinv::generatePathInvariants(const Program &P, SmtSolver &Solver,
     }
     Map.Inv[P.error()] = TM.mkFalse();
 
-    if (Opts.VerifyMap) {
-      InvariantCheckResult Check = checkInvariantMap(P, Map, Solver);
-      if (!Check.Ok) {
-        Result.FailureReason =
-            "synthesized map failed verification: " + Check.FailureReason;
-        continue;
-      }
+    InvariantCheckResult Check = checkInvariantMap(P, Map, Solver);
+    if (!Check.Ok) {
+      Result.FailureReason =
+          "synthesized map failed verification: " + Check.FailureReason;
+      continue;
     }
 
     Result.Found = true;
@@ -78,8 +76,7 @@ pathinv::generatePathInvariants(const Program &P, SmtSolver &Solver,
 }
 
 PathInvResult pathinv::generateIntervalInvariants(const Program &P,
-                                                  SmtSolver &Solver,
-                                                  bool Verify) {
+                                                  SmtSolver &Solver) {
   TermManager &TM = P.termManager();
   PathInvResult Result;
   IntervalAnalysisResult Analysis = analyzeIntervals(P);
@@ -95,13 +92,11 @@ PathInvResult pathinv::generateIntervalInvariants(const Program &P,
       Map.Inv[Loc] = Inv;
   }
   Map.Inv[P.error()] = TM.mkFalse();
-  if (Verify) {
-    InvariantCheckResult Check = checkInvariantMap(P, Map, Solver);
-    if (!Check.Ok) {
-      Result.FailureReason =
-          "interval map failed verification: " + Check.FailureReason;
-      return Result;
-    }
+  InvariantCheckResult Check = checkInvariantMap(P, Map, Solver);
+  if (!Check.Ok) {
+    Result.FailureReason =
+        "interval map failed verification: " + Check.FailureReason;
+    return Result;
   }
   Result.Found = true;
   Result.Map = std::move(Map);

@@ -34,14 +34,6 @@
 
 namespace pathinv {
 
-/// Knobs for path-invariant generation.
-struct PathInvOptions {
-  int MaxTemplateLevel = 2;
-  SynthOptions Synth;
-  GenOptions Gen;
-  bool VerifyMap = true; ///< Re-check the map before returning it.
-};
-
 /// Outcome of path-invariant generation.
 struct PathInvResult {
   bool Found = false;
@@ -65,16 +57,19 @@ struct PathInvResult {
 /// false, Stopped is set): the caller settled the question another way.
 using LevelFailedHook = std::function<bool()>;
 
-/// Constraint-based backend (the paper's instantiation).
+/// Constraint-based backend (the paper's instantiation): tries template
+/// levels 0 through MaxTemplateLevel, solving each level's conditions
+/// under \p Opts, and returns the first map that passes
+/// checkInvariantMap.
 PathInvResult generatePathInvariants(const Program &P, SmtSolver &Solver,
-                                     const PathInvOptions &Opts = {},
+                                     const SynthOptions &Opts = {},
                                      const LevelFailedHook &OnLevelFailed = {});
 
 /// Abstract-interpretation backend (interval domain): succeeds when the
-/// interval fixpoint proves the error location unreachable.
+/// interval fixpoint proves the error location unreachable and the map
+/// passes checkInvariantMap.
 PathInvResult generateIntervalInvariants(const Program &P,
-                                         SmtSolver &Solver,
-                                         bool Verify = true);
+                                         SmtSolver &Solver);
 
 } // namespace pathinv
 

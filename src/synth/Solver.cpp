@@ -228,7 +228,7 @@ private:
             Recurse(Idx + 1, Next);
             Assignment.erase(Id);
           };
-          for (int V = 0; V <= Opts.MultiplierBound; ++V) {
+          for (int V = 0; V <= MultiplierBound; ++V) {
             tryValue(Rational(V));
             if (!NonNeg && V > 0)
               tryValue(Rational(-V));
@@ -471,6 +471,9 @@ private:
   }
 
   static constexpr size_t MaxCombosPerAlternative = 128;
+  /// Enumerated Farkas multiplier magnitude bound: each bilinear
+  /// multiplier ranges over {0..K}, or {-K..K} when it may be negative.
+  static constexpr int MultiplierBound = 1;
   static constexpr uint64_t RebuildInterval = 128;
   /// Nogood store cap: a search that conflicts this often is budget-bound
   /// anyway, and every stored nogood lengthens the per-candidate scan.

@@ -27,8 +27,6 @@ namespace pathinv {
 
 /// Knobs for the synthesis search.
 struct SynthOptions {
-  /// Enumerated multiplier magnitude bound (domain {0..K} or {-K..K}).
-  int MultiplierBound = 1;
   /// Hard budget on LP feasibility checks. Successful syntheses of the
   /// paper's programs finish within a few thousand checks; an unsat
   /// template level that is still churning past this bound is better

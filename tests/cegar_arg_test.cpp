@@ -267,14 +267,14 @@ TEST(WholeProgramEscalationTest, CompletedSearchIsNeverRepeated) {
   WholeProgramSearch Search;
   EngineResult First;
   EXPECT_FALSE(escalateToWholeProgram(P.get(), Solver,
-                                      RefinerKind::PathInvariant, {}, Search,
+                                      RefinerKind::PathInvariant, Search,
                                       First));
   EXPECT_TRUE(Search.Completed);
   EXPECT_GT(First.Stats.LpChecks, 0u);
 
   EngineResult Second;
   EXPECT_FALSE(escalateToWholeProgram(P.get(), Solver,
-                                      RefinerKind::PathInvariant, {}, Search,
+                                      RefinerKind::PathInvariant, Search,
                                       Second));
   EXPECT_EQ(Second.Stats.LpChecks, 0u);
   EXPECT_EQ(Second.Stats.TemplateLevelsTried, 0u);
@@ -296,14 +296,14 @@ TEST(WholeProgramEscalationTest, InterruptedSearchStaysRetryable) {
     ResourceScope Scope(RC);
     EngineResult Interrupted;
     EXPECT_FALSE(escalateToWholeProgram(P.get(), Solver,
-                                        RefinerKind::PathInvariant, {},
+                                        RefinerKind::PathInvariant,
                                         Search, Interrupted));
     EXPECT_TRUE(RC.exhausted());
     EXPECT_FALSE(Search.Completed);
   }
   EngineResult Retry;
   EXPECT_TRUE(escalateToWholeProgram(P.get(), Solver,
-                                     RefinerKind::PathInvariant, {}, Search,
+                                     RefinerKind::PathInvariant, Search,
                                      Retry));
   EXPECT_TRUE(Search.Completed);
   EXPECT_GT(Retry.Stats.LpChecks, 0u);

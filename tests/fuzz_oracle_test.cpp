@@ -20,10 +20,13 @@
 //      well-founded metric, the result still fails, and re-minimizing is
 //      a no-op (fixpoint).
 //   4. Certificates round-trip: serialize -> parse -> checkInvariantMap
-//      succeeds on engine-exported proofs, and tampered text is rejected.
+//      succeeds on engine-exported proofs, tampered text is rejected, and
+//      an obligation the solver cannot decide is reported undecided, not
+//      refuted.
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestPrograms.h"
 #include "core/Verifier.h"
 #include "fuzz/Fuzz.h"
 #include "lang/Parser.h"
@@ -199,6 +202,50 @@ TEST(Certificate, RoundTripThroughTextValidates) {
   InvariantCheckResult Check =
       checkInvariantMap(P.get(), Parsed.get(), V.solver());
   EXPECT_TRUE(Check.Ok) << Check.FailureReason << "\n" << Text;
+}
+
+TEST(Certificate, UndecidedIsNotRefuted) {
+  // FORWARD's own certificate is valid, but one simplex pivot cannot
+  // decide its obligations: the check must say undecided, not invalid.
+  Verifier V;
+  Expected<Program> P = V.loadSource(testprogs::Forward);
+  ASSERT_TRUE(P.hasValue());
+  EngineResult R = V.verifyProgram(P.get());
+  ASSERT_EQ(R.Verdict, decltype(R.Verdict)::Safe);
+  ASSERT_TRUE(R.HasInvariants);
+
+  Verifier Checker;
+  Expected<Program> Q = Checker.loadSource(testprogs::Forward);
+  ASSERT_TRUE(Q.hasValue());
+  Expected<InvariantMap> Map =
+      parseCertificate(Q.get(), serializeCertificate(P.get(), R.Invariants));
+  ASSERT_TRUE(Map.hasValue()) << Map.error().render();
+  ResourceLimits OnePivot;
+  OnePivot.Pivots = 1;
+  ResourceController RC(OnePivot);
+  RC.start();
+  ResourceScope Scope(RC);
+  InvariantCheckResult Check =
+      checkInvariantMap(Q.get(), Map.get(), Checker.solver());
+  EXPECT_FALSE(Check.Ok);
+  EXPECT_TRUE(Check.Undecided) << Check.FailureReason;
+}
+
+TEST(Certificate, SolverDefectIsNeverReportedInvalid) {
+  // y + 2x = 2i - 3 is an inductive invariant of seed 217945's loop, but
+  // the theory solver gives up on its L3 ~> LE obligation (the
+  // branch-and-bound split-depth defect): that is undecided, never a
+  // refutation. Once the defect is fixed the certificate checks valid.
+  GeneratedProgram GP = generateProgram(217945);
+  Verifier V;
+  Expected<Program> P = V.loadSource(GP.Source);
+  ASSERT_TRUE(P.hasValue()) << P.error().render();
+  Expected<InvariantMap> Map = parseCertificate(
+      P.get(), "pathinv-cert-v1\nL3 := y + 2*x = -3 + 2*i\nLE := false\n");
+  ASSERT_TRUE(Map.hasValue()) << Map.error().render() << "\n" << GP.Source;
+  InvariantCheckResult Check =
+      checkInvariantMap(P.get(), Map.get(), V.solver());
+  EXPECT_TRUE(Check.Ok || Check.Undecided) << Check.FailureReason;
 }
 
 TEST(Certificate, RejectsTamperedText) {

@@ -8,7 +8,8 @@
 /// The PDR backend: delta-encoded frame mechanics, the semantic frame
 /// well-formedness checker (containment + relative inductiveness of
 /// every clause), six-program verdicts with independently validated
-/// invariant maps, and the three-way cegar/pdr/portfolio differential.
+/// invariant maps, the three-way cegar/pdr/portfolio differential, and
+/// the portfolio's schedule.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 
 using namespace pathinv;
@@ -270,7 +273,7 @@ TEST(PdrDifferentialTest, AllEnginesAgreeOnPaperPrograms) {
 }
 
 TEST(PdrPortfolioTest, WinnerIsAttributedInTheNote) {
-  // An unsafe program is decided by a lane (the probe cannot prove
+  // An unsafe program is decided by an engine (the probe cannot prove
   // unsafety), so the note must name the winning engine.
   EngineOptions Opts;
   Opts.Engine = EngineKind::Portfolio;
@@ -283,9 +286,9 @@ TEST(PdrPortfolioTest, WinnerIsAttributedInTheNote) {
 }
 
 TEST(PdrPortfolioTest, QuickSafeProgramNamesTheWinner) {
-  // A program both engines finish quickly is decided in the opening
-  // round, normally by a lane before the shared synthesis probe runs; a
-  // slow build may leave it to the probe. Either way the note names the
+  // A program both engines finish quickly is decided by an engine's
+  // opening call, normally before the shared synthesis probe runs; a slow
+  // build may leave it to the probe. Either way the note names the
   // winner.
   EngineOptions Opts;
   Opts.Engine = EngineKind::Portfolio;
@@ -295,6 +298,70 @@ TEST(PdrPortfolioTest, QuickSafeProgramNamesTheWinner) {
   EXPECT_EQ(R.get().Verdict, EngineResult::Verdict::Safe);
   EXPECT_NE(R.get().Note.find("won the race"), std::string::npos)
       << R.get().Note;
+}
+
+TEST(PdrPortfolioTest, ProbeDecidesTheArrayPrograms) {
+  // Neither engine decides INITCHECK or PARTITION within its 50 ms opening
+  // call (cegar alone needs at least 0.5 s on either), so the shared
+  // probe, the schedule's third call, proves both. Its LP checks are
+  // deterministic and pinned exactly.
+  struct Pin {
+    const char *Name;
+    const char *Source;
+    uint64_t LpChecks;
+  };
+  const Pin Pins[] = {
+      {"init_check", testprogs::InitCheck, 6505},
+      {"partition", testprogs::Partition, 21545},
+  };
+  for (const Pin &C : Pins) {
+    EngineOptions Opts;
+    Opts.Engine = EngineKind::Portfolio;
+    Verifier V(Opts);
+    auto R = V.verifySource(C.Source);
+    ASSERT_TRUE(R.hasValue()) << C.Name;
+    EXPECT_EQ(R.get().Verdict, EngineResult::Verdict::Safe) << C.Name;
+    EXPECT_TRUE(R.get().HasInvariants) << C.Name;
+    EXPECT_EQ(R.get().Note, "proved by whole-program invariant map; "
+                            "portfolio: shared synthesis probe won the race")
+        << C.Name;
+    EXPECT_EQ(R.get().Stats.LpChecks, C.LpChecks) << C.Name;
+  }
+}
+
+TEST(PdrPortfolioTest, CegarAfterTheProbeSkipsTheCompletedSearch) {
+  // fuzz_ineq_unsafe outlasts both opening calls (cegar alone takes about
+  // 0.5 s, pdr over 1 s). The probe's search completes without a map, as
+  // it must on an unsafe program, and the uncapped cegar call then finds
+  // the bug without repeating it: fewer LP checks than cegar alone. A
+  // fresh call after the timed opening is deterministic.
+  std::ifstream In(PATHINV_EXAMPLES_DIR "/fuzz_ineq_unsafe.pil");
+  ASSERT_TRUE(In.good());
+  std::ostringstream Source;
+  Source << In.rdbuf();
+
+  Verifier Alone;
+  auto Cegar = Alone.verifySource(Source.str());
+  ASSERT_TRUE(Cegar.hasValue());
+  EXPECT_EQ(Cegar.get().Verdict, EngineResult::Verdict::Unsafe);
+  EXPECT_EQ(Cegar.get().Stats.LpChecks, 3639u);
+
+  EngineResult Runs[2];
+  for (EngineResult &Run : Runs) {
+    EngineOptions Opts;
+    Opts.Engine = EngineKind::Portfolio;
+    Verifier V(Opts);
+    auto R = V.verifySource(Source.str());
+    ASSERT_TRUE(R.hasValue());
+    Run = R.take();
+    EXPECT_EQ(Run.Verdict, EngineResult::Verdict::Unsafe) << Run.Note;
+    EXPECT_TRUE(Run.WitnessReplayed);
+    EXPECT_EQ(Run.Note, "portfolio: cegar won the race");
+    EXPECT_LT(Run.Stats.LpChecks, Cegar.get().Stats.LpChecks);
+  }
+  EXPECT_EQ(Runs[0].Stats.LpChecks, Runs[1].Stats.LpChecks);
+  EXPECT_EQ(Runs[0].Stats.Refinements, Runs[1].Stats.Refinements);
+  EXPECT_EQ(Runs[0].Stats.NodesExpanded, Runs[1].Stats.NodesExpanded);
 }
 
 } // namespace

@@ -384,7 +384,7 @@ TEST(RobustnessTest, PdrEngineReusableAfterInterrupt) {
 //===----------------------------------------------------------------------===//
 
 TEST(RobustnessTest, PortfolioBudgetsExhaustWithPerEngineAttribution) {
-  // Step budgets tight enough to stop both lanes (and the shared probe)
+  // Step budgets tight enough to stop both engines (and the shared probe)
   // on every nontrivial program. The portfolio must never convert double
   // exhaustion into a verdict, and its combined Unknown must attribute
   // each engine's reason by name.
@@ -415,7 +415,7 @@ TEST(RobustnessTest, PortfolioBudgetsExhaustWithPerEngineAttribution) {
 TEST(RobustnessTest, PortfolioDeadlineNeverBecomesAVerdict) {
   // Partition needs seconds under either engine and the probe alike; a
   // 250 ms wall deadline must surface as Unknown/"deadline" with both
-  // lanes' exhaustion attributed, never as a guessed verdict.
+  // engines' exhaustion attributed, never as a guessed verdict.
   Verifier V;
   V.options().Engine = EngineKind::Portfolio;
   V.options().Limits.TimeoutSeconds = 0.25;
@@ -479,9 +479,9 @@ TEST(RobustnessTest, FaultInjectionSweepIsGraceful) {
 
 TEST(RobustnessTest, FaultInjectionSweepCoversPdrAndPortfolio) {
   // The same deterministic sweep through the PDR frame loop and the
-  // portfolio driver (lanes + shared probe). Kept to quickly decidable
-  // programs so each injected run exercises the recovery path, not the
-  // solver's endurance.
+  // portfolio schedule (engine calls + shared probe). Kept to quickly
+  // decidable programs so each injected run exercises the recovery path,
+  // not the solver's endurance.
   const uint64_t Seeds[] = {1, 2, 3, 5, 8, 20, 60};
   const ProgSpec Cheap[] = {
       {"straight_safe", testprogs::StraightSafe, Verdict::Safe},

@@ -413,10 +413,10 @@ TEST_F(SynthFixture, LearningDifferentialPaperPrograms) {
   uint64_t Learned = 0;
   for (const Case &C : Cases) {
     Program P = load(C.Source);
-    PathInvOptions On, Off;
-    On.Synth.MaxLpChecks = C.Budget;
-    Off.Synth.Learning = false;
-    Off.Synth.MaxLpChecks = C.Budget;
+    SynthOptions On, Off;
+    On.MaxLpChecks = C.Budget;
+    Off.Learning = false;
+    Off.MaxLpChecks = C.Budget;
     PathInvResult ROn = generatePathInvariants(P, Solver, On);
     PathInvResult ROff = generatePathInvariants(P, Solver, Off);
     EXPECT_EQ(ROn.Found, ROff.Found) << C.Name;
@@ -446,10 +446,10 @@ TEST_F(SynthFixture, LearningDifferentialFuzzSeeds) {
     ASSERT_TRUE(PE.hasValue()) << "seed " << Seed << ": " << GP.Source;
     Program P = PE.take();
     SmtSolver LocalSolver{LocalTM};
-    PathInvOptions On, Off;
-    On.Synth.MaxLpChecks = Budget;
-    Off.Synth.Learning = false;
-    Off.Synth.MaxLpChecks = Budget;
+    SynthOptions On, Off;
+    On.MaxLpChecks = Budget;
+    Off.Learning = false;
+    Off.MaxLpChecks = Budget;
     PathInvResult ROn = generatePathInvariants(P, LocalSolver, On);
     PathInvResult ROff = generatePathInvariants(P, LocalSolver, Off);
     Learned += ROn.Learn.CombosDeduped + ROn.Learn.Nogoods;
@@ -477,7 +477,9 @@ TEST_F(SynthFixture, CheckerRejectsBogusMap) {
   for (LocId Loc = 0; Loc < P.numLocations(); ++Loc)
     if (Loc != P.entry() && Loc != P.error())
       Bogus.Inv[Loc] = Claim;
-  EXPECT_FALSE(checkInvariantMap(P, Bogus, Solver).Ok);
+  InvariantCheckResult Check = checkInvariantMap(P, Bogus, Solver);
+  EXPECT_FALSE(Check.Ok);
+  EXPECT_FALSE(Check.Undecided) << Check.FailureReason;
 }
 
 } // namespace

@@ -14,8 +14,9 @@
 ///
 /// Usage: pathinv-check <file.pil> <cert.txt>
 /// Exit codes: 0 certificate valid, 1 certificate invalid (parses but a
-/// proof obligation fails), 2 error (usage, unreadable input, malformed
-/// certificate, unparseable program).
+/// proof obligation is refuted), 2 undecided (the solver could not decide
+/// an obligation and refuted none) or error (usage, unreadable input,
+/// malformed certificate, unparseable program).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +35,7 @@ int usage(const char *Argv0) {
   std::cerr << "usage: " << Argv0 << " <file.pil> <cert.txt>\n"
             << "validates an invariant-map certificate (as written by\n"
             << "pathinv --emit-cert=FILE) against the program\n"
-            << "exit codes: 0 valid, 1 invalid, 2 error\n";
+            << "exit codes: 0 valid, 1 invalid, 2 undecided or error\n";
   return 2;
 }
 
@@ -99,6 +100,10 @@ int main(int Argc, char **Argv) {
   pathinv::SmtSolver Solver(TM);
   pathinv::InvariantCheckResult Check =
       pathinv::checkInvariantMap(P.get(), Map.get(), Solver);
+  if (Check.Undecided) {
+    std::cout << "UNDECIDED: " << Check.FailureReason << "\n";
+    return 2;
+  }
   if (!Check.Ok) {
     std::cout << "INVALID: " << Check.FailureReason << "\n";
     return 1;

@@ -40,8 +40,10 @@ int usage(const char *Argv0) {
       << "usage: " << Argv0 << " [options] <file.pil | ->\n"
       << "  --engine=cegar|pdr|portfolio  verification backend: path-\n"
       << "                       invariant CEGAR (default), IC3/PDR over\n"
-      << "                       the transition relation, or a governed\n"
-      << "                       time-sliced race of both\n"
+      << "                       the transition relation, or both on a\n"
+      << "                       fixed schedule (each capped at 50 ms,\n"
+      << "                       a shared whole-program probe, each\n"
+      << "                       uncapped); first verdict wins\n"
       << "  --refiner=pathinv|intervals|pathformula  refinement strategy\n"
       << "                                           (default: pathinv)\n"
       << "  --timeout=SEC        wall-clock deadline (0 = unlimited)\n"
