@@ -8,7 +8,6 @@
 
 #include "core/Resource.h"
 #include "smt/QuantInst.h"
-#include "smt/SmtSolver.h"
 #include "synth/InvariantMap.h"
 
 #include <algorithm>
@@ -105,7 +104,7 @@ std::string Arg::verifyInvariants() const {
 //===----------------------------------------------------------------------===//
 
 ReachEngine::ReachEngine(const Program &P, const Precision &Pi,
-                         SmtSolver &Solver)
+                         smt::SolverContext &Solver)
     : P(P), TM(P.termManager()), Pi(Pi), Solver(Solver), Ctx(TM),
       ExpandedAt(P.numLocations()), CoveredAt(P.numLocations()) {
   ArgNode Root;
@@ -187,8 +186,9 @@ bool ReachEngine::labelNode(int Id) {
   // One scope serves the edge feasibility check and the whole labelling
   // batch: the post-image is asserted once, every predicate entailment is
   // an assumption flip on top. Quantified or store-carrying queries fall
-  // back to the one-shot solver (quantifier instantiation depends on both
-  // sides of an entailment, and array-write elimination is whole-formula).
+  // back to checkFormula on the job's context (quantifier instantiation
+  // depends on both sides of an entailment, and array-write elimination
+  // is whole-formula).
   bool InCtx = isGround(State) && isGround(T.Rel);
   if (InCtx) {
     Ctx.push();

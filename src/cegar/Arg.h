@@ -77,7 +77,6 @@
 
 namespace pathinv {
 
-class SmtSolver;
 struct InvariantMap;
 
 /// One node of the abstract reachability graph.
@@ -223,9 +222,11 @@ struct ArgRunResult {
 class ReachEngine {
 public:
   /// \p Pi is read on every labelling, so refinements that grow it are
-  /// visible to nodes created afterwards. \p Solver serves quantified or
-  /// store-carrying queries the incremental context cannot take.
-  ReachEngine(const Program &P, const Precision &Pi, SmtSolver &Solver);
+  /// visible to nodes created afterwards. \p Solver, the job's context,
+  /// serves the quantified or store-carrying queries (checkFormula) that
+  /// the run's own context cannot take.
+  ReachEngine(const Program &P, const Precision &Pi,
+              smt::SolverContext &Solver);
 
   /// Resumes exploration from the current frontier. Every expansion
   /// charges ResourceKind::ArgExpansions first; a refused charge leaves
@@ -313,7 +314,7 @@ private:
   const Program &P;
   TermManager &TM;
   const Precision &Pi;
-  SmtSolver &Solver;
+  smt::SolverContext &Solver;
   /// Long-lived incremental context: survives every refinement, so
   /// per-transition encodings and everything learned while exploring
   /// earlier waves keep paying off.

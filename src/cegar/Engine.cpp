@@ -8,7 +8,6 @@
 
 #include "cegar/Arg.h"
 #include "smt/ArrayElim.h"
-#include "smt/SmtSolver.h"
 #include "smt/SolverContext.h"
 #include "synth/PathInvariants.h"
 
@@ -95,38 +94,6 @@ bool analyzeCounterexample(const Program &P, const Path &Cex,
   return true;
 }
 
-/// Escalation ladder (resource governance): a refinement whose template
-/// synthesis ground out its scoped combination budget (RefineResult::
-/// ResourceOut) retries once with the cheap interval backend before the
-/// engine accepts a degraded outcome. Skipped when the run's
-/// ResourceController has tripped — no refiner can run to completion
-/// under a tripped controller, so a retry would only burn the deadline.
-/// \returns true when the retry contributed new predicates.
-bool escalateBudgetedRefinement(const Program &P, const Path &Cex,
-                                SmtSolver &Solver, const EngineOptions &Opts,
-                                RefineResult &Refined, EngineResult &Result) {
-  // Retry only when the budgeted refinement is about to give up — a
-  // refinement that made progress despite draining its local synthesis
-  // budget is the normal template-escalation path, and piling interval
-  // predicates on top of its result would bloat the precision (and the
-  // runtime) of perfectly healthy runs. A tripped controller fails every
-  // charge, so a retry under it could never succeed either.
-  if (!Refined.ResourceOut || Refined.Progress || resourceExhausted() ||
-      Opts.Refiner != RefinerKind::PathInvariant)
-    return false;
-  ++Result.Stats.EscalationRetries;
-  RefineResult Retry = refine(P, Cex, Result.Predicates, Solver,
-                              RefinerKind::PathInvariantIntervals);
-  Result.Stats.LpChecks += Retry.LpChecks;
-  Result.Stats.TemplateLevelsTried += Retry.TemplateLevelsTried;
-  Result.Stats.addSynthLearning(Retry.Learn);
-  if (!Retry.Progress)
-    return false;
-  Refined.Progress = true;
-  Refined.UsedFallback = Refined.UsedFallback && Retry.UsedFallback;
-  return true;
-}
-
 /// Mirrors the ARG engine's cumulative reach-layer statistics into the
 /// engine-level aggregate (overwrite, not accumulate: ArgStats are
 /// lifetime totals of the one persistent engine).
@@ -148,13 +115,13 @@ void syncReachStats(EngineStats &S, const ArgStats &A) {
 /// path-formula checker, the grown precision (inside Result.Predicates,
 /// which the ARG references), and the job's whole-program search.
 struct CegarRun {
-  CegarRun(const Program &P, SmtSolver &Solver, const EngineOptions &Opts,
-           WholeProgramSearch &Whole)
+  CegarRun(const Program &P, smt::SolverContext &Solver,
+           const EngineOptions &Opts, WholeProgramSearch &Whole)
       : P(P), Solver(Solver), Opts(Opts), PathChecker(P.termManager()),
         Reach(P, Result.Predicates, Solver), Whole(Whole) {}
 
   const Program &P;
-  SmtSolver &Solver;
+  smt::SolverContext &Solver;
   const EngineOptions &Opts;
   PathFormulaChecker PathChecker;
   /// The run's outcome. Result.Predicates is the live precision the ARG
@@ -261,7 +228,7 @@ void CegarRun::runLoop() {
     }
     if (resourceExhausted()) {
       // Interrupted mid-refinement: report Unknown without counting the
-      // refinement or consuming the ladder, even when the cut-short
+      // refinement or consuming the escalation, even when the cut-short
       // synthesis made partial progress. Any predicates it added stay in
       // the best-so-far precision.
       Result.Note = "resources exhausted during refinement";
@@ -270,8 +237,6 @@ void CegarRun::runLoop() {
     ++Result.Stats.Refinements;
     if (Refined.UsedFallback)
       ++Result.Stats.Fallbacks;
-
-    escalateBudgetedRefinement(P, Cex, Solver, Opts, Refined, Result);
 
     // Per-path refinement stalled: escalate, unless a search completed.
     if ((Refined.UsedFallback || !Refined.Progress) && escalate())
@@ -291,7 +256,7 @@ void CegarRun::runLoop() {
 
 } // namespace
 
-EngineResult pathinv::runCegar(const Program &P, SmtSolver &Solver,
+EngineResult pathinv::runCegar(const Program &P, smt::SolverContext &Solver,
                                const EngineOptions &Opts,
                                WholeProgramSearch &Whole) {
   CegarRun Run(P, Solver, Opts, Whole);

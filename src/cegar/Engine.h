@@ -32,7 +32,7 @@ namespace pathinv {
 /// replayed witness), or Unknown (resources exhausted or refinement
 /// stuck). \p Whole is the job's whole-program search, owned by the
 /// caller (core/Engine.h's runEngine installs the controller).
-EngineResult runCegar(const Program &P, SmtSolver &Solver,
+EngineResult runCegar(const Program &P, smt::SolverContext &Solver,
                       const EngineOptions &Opts, WholeProgramSearch &Whole);
 
 } // namespace pathinv

@@ -9,7 +9,6 @@
 #include "core/Engine.h"
 #include "pathprog/PathProgram.h"
 #include "program/CutSet.h"
-#include "smt/SmtSolver.h"
 
 using namespace pathinv;
 
@@ -163,7 +162,7 @@ void distributeInvariants(const Program &P, const PathProgram &PP,
 } // namespace
 
 RefineResult pathinv::refine(const Program &P, const Path &Cex,
-                             PredicateMap &Pi, SmtSolver &Solver,
+                             PredicateMap &Pi, smt::SolverContext &Solver,
                              RefinerKind Kind,
                              const LevelFailedHook &OnLevelFailed) {
   if (Kind == RefinerKind::PathFormula)
@@ -186,7 +185,6 @@ RefineResult pathinv::refine(const Program &P, const Path &Cex,
     // backend is too weak); fall back to eliminating just this path.
     RefineResult Fallback = refineWithWpChain(P, Cex, Pi);
     Fallback.UsedFallback = true;
-    Fallback.ResourceOut = Inv.ResourceOut;
     Fallback.TemplateLevelsTried = Result.TemplateLevelsTried;
     Fallback.LpChecks = Result.LpChecks;
     Fallback.Learn = Result.Learn;
@@ -204,7 +202,8 @@ RefineResult pathinv::refine(const Program &P, const Path &Cex,
   return Result;
 }
 
-bool pathinv::escalateToWholeProgram(const Program &P, SmtSolver &Solver,
+bool pathinv::escalateToWholeProgram(const Program &P,
+                                     smt::SolverContext &Solver,
                                      RefinerKind Kind,
                                      WholeProgramSearch &Search,
                                      EngineResult &Result) {

@@ -35,7 +35,9 @@
 
 namespace pathinv {
 
-class SmtSolver;
+namespace smt {
+class SolverContext;
+}
 struct EngineResult;
 
 /// What a refinement step produced.
@@ -46,11 +48,6 @@ struct RefineResult {
   int TemplateLevelsTried = 0;
   uint64_t LpChecks = 0;
   SynthLearnStats Learn;
-  /// Path-invariant synthesis stopped on a resource limit rather than
-  /// exhausting its search space. The engine's escalation ladder retries
-  /// such refinements once with the cheaper interval backend before
-  /// giving up.
-  bool ResourceOut = false;
   /// The predicates this refinement actually added to the precision,
   /// attributed to the locations they were added at — the refinement's
   /// localized contribution. The ARG engine reacts to the contribution
@@ -72,7 +69,7 @@ enum class RefinerKind : uint8_t {
 /// (PathInvariant only); when it ends that search, the refinement returns
 /// at once without progress and without the single-path fallback.
 RefineResult refine(const Program &P, const Path &Cex, PredicateMap &Pi,
-                    SmtSolver &Solver, RefinerKind Kind,
+                    smt::SolverContext &Solver, RefinerKind Kind,
                     const LevelFailedHook &OnLevelFailed = {});
 
 /// One job's whole-program invariant search. It runs to completion at
@@ -99,7 +96,7 @@ struct WholeProgramSearch {
 /// Result.Stats; a verified map ends \p Result Safe with that map as its
 /// certificate and the note "proved by whole-program invariant map".
 /// \returns true when it proved Safe.
-bool escalateToWholeProgram(const Program &P, SmtSolver &Solver,
+bool escalateToWholeProgram(const Program &P, smt::SolverContext &Solver,
                             RefinerKind Kind, WholeProgramSearch &Search,
                             EngineResult &Result);
 

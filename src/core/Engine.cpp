@@ -46,7 +46,7 @@ bool pathinv::parseEngineKind(const std::string &Name, EngineKind &Out) {
 namespace {
 
 /// A verification backend: one run-to-completion call (runCegar, runPdr).
-using EngineFn = EngineResult (*)(const Program &, SmtSolver &,
+using EngineFn = EngineResult (*)(const Program &, smt::SolverContext &,
                                   const EngineOptions &, WholeProgramSearch &);
 
 /// Runs \p Run under a fresh ResourceController built from \p Limits, its
@@ -54,8 +54,8 @@ using EngineFn = EngineResult (*)(const Program &, SmtSolver &,
 /// arena and the BigInt limb heap), then stamps the governed-run epilogue
 /// onto the result: resources spent, peak memory, and for an Unknown
 /// that the controller's trip explains, the machine-readable reason.
-EngineResult runGoverned(EngineFn Run, const Program &P, SmtSolver &Solver,
-                         const EngineOptions &Opts,
+EngineResult runGoverned(EngineFn Run, const Program &P,
+                         smt::SolverContext &Solver, const EngineOptions &Opts,
                          const ResourceLimits &Limits,
                          WholeProgramSearch &Whole) {
   ResourceController RC(Limits);
@@ -84,7 +84,7 @@ EngineResult runGoverned(EngineFn Run, const Program &P, SmtSolver &Solver,
 /// The whole-program probe as a schedule call: the search both engines
 /// would otherwise escalate to, run once for both. A verified map is a
 /// complete safety proof whichever engine asked for it.
-EngineResult runProbe(const Program &P, SmtSolver &Solver,
+EngineResult runProbe(const Program &P, smt::SolverContext &Solver,
                       const EngineOptions &Opts, WholeProgramSearch &Whole) {
   EngineResult Result;
   escalateToWholeProgram(P, Solver, Opts.Refiner, Whole, Result);
@@ -110,7 +110,8 @@ constexpr double OpeningCapSeconds = 0.05;
 /// attributes each engine's reason.
 class Portfolio {
 public:
-  Portfolio(const Program &P, SmtSolver &Solver, const EngineOptions &Opts)
+  Portfolio(const Program &P, smt::SolverContext &Solver,
+            const EngineOptions &Opts)
       : P(P), Solver(Solver), Opts(Opts), Start(Clock::now()) {}
 
   EngineResult run() {
@@ -239,7 +240,7 @@ private:
   }
 
   const Program &P;
-  SmtSolver &Solver;
+  smt::SolverContext &Solver;
   const EngineOptions &Opts;
   const Clock::time_point Start;
   /// The probe and both engines run at most one whole-program search to
@@ -259,7 +260,7 @@ private:
 
 } // namespace
 
-EngineResult pathinv::runEngine(const Program &P, SmtSolver &Solver,
+EngineResult pathinv::runEngine(const Program &P, smt::SolverContext &Solver,
                                 const EngineOptions &Opts) {
   if (Opts.Engine == EngineKind::Portfolio)
     return Portfolio(P, Solver, Opts).run();

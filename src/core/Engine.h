@@ -103,7 +103,8 @@ struct EngineStats {
   uint64_t RelabelsBatched = 0;
   // CEGAR only: the run-lifetime solver context behind reachability
   // (its checks, and the learned-clause garbage collection keeping it
-  // bounded). The facade solver's stats live in Verifier::solverStats().
+  // bounded). The job's shared context reports through
+  // Verifier::solverStats().
   uint64_t ReachContextChecks = 0;
   uint64_t ReachLearnedPurges = 0;
   uint64_t ReachClausesPurged = 0;
@@ -147,19 +148,21 @@ struct EngineStats {
   /// Literals dropped by unsat-core generalization (larger is better:
   /// more general clauses block more states).
   uint64_t PdrGenDroppedLits = 0;
-  /// Incremental frame queries (assumption batches on the persistent
-  /// context) vs. one-shot facade queries (store-carrying transitions).
+  /// Incremental frame queries (assumption batches on PDR's own
+  /// context) vs. whole-formula checkFormula() queries on the job's
+  /// context (store-carrying transitions).
   uint64_t PdrFrameQueries = 0;
   uint64_t PdrFacadeQueries = 0;
   /// Abstract counterexample candidates reaching level 0 (each triggers a
   /// concrete path check, then either Unsafe or refinement).
   uint64_t PdrCexCandidates = 0;
   // Resource governance: steps actually spent per budgeted layer (these
-  // are the partial stats that survive exhaustion), the peak tracked heap
-  // footprint, and how often the escalation ladder retried a
-  // budget-exhausted refinement with the cheaper backend.
+  // are the partial stats that survive exhaustion) and the peak tracked
+  // heap footprint.
   ResourceSpent Resources;
   uint64_t PeakMemoryBytes = 0;
+  /// Always 0: no engine retries a refinement with another backend. Kept
+  /// because perfbench reports it as `cegar.escalation_retries`.
   uint64_t EscalationRetries = 0;
 };
 
@@ -194,7 +197,7 @@ struct EngineResult {
 /// ResourceController per job (per call in portfolio mode) and
 /// finalizing stats/reasons. This is the single entry point the CLI,
 /// bench harness, and tests share.
-EngineResult runEngine(const Program &P, SmtSolver &Solver,
+EngineResult runEngine(const Program &P, smt::SolverContext &Solver,
                        const EngineOptions &Opts = {});
 
 } // namespace pathinv

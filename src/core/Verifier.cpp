@@ -7,13 +7,12 @@
 #include "core/Verifier.h"
 
 #include "core/Engine.h"
-#include "smt/SmtSolver.h"
 
 using namespace pathinv;
 
 Verifier::Verifier(EngineOptions Opts)
     : TM(std::make_unique<TermManager>()),
-      Solver(std::make_unique<SmtSolver>(*TM)), Opts(std::move(Opts)) {}
+      Solver(*TM), Opts(std::move(Opts)) {}
 
 Verifier::~Verifier() = default;
 
@@ -21,41 +20,12 @@ Expected<Program> Verifier::loadSource(std::string_view PilSource) {
   return loadProgram(*TM, PilSource);
 }
 
-smt::SolverContext &Verifier::solverContext() { return Solver->context(); }
-
-Verifier::SolverLayerStats Verifier::solverStats() const {
-  SolverLayerStats S;
-  S.SmtQueries = Solver->numQueries();
-  S.SmtCacheHits = Solver->numCacheHits();
-  smt::ContextStats C = Solver->context().stats();
-  S.ContextChecks = C.Checks;
-  S.ConjunctionChecks = C.ConjunctionChecks;
-  S.LazyChecks = C.LazyChecks;
-  S.TheoryChecks = Solver->numTheoryChecks();
-  S.Pushes = C.Pushes;
-  S.Pops = C.Pops;
-  S.BaseReuses = C.BaseReuses;
-  S.BaseRebuilds = C.BaseRebuilds;
-  S.BnbNodes = C.BnbNodes;
-  S.BnbRepairPivots = C.BnbRepairPivots;
-  S.BnbLemmas = C.BnbLemmas;
-  S.ScratchFallbacks = C.ScratchFallbacks;
-  S.CutRows = C.CutRows;
-  S.SatConflicts = C.SatConflicts;
-  S.SatDecisions = C.SatDecisions;
-  S.SatPropagations = C.SatPropagations;
-  S.LearnedPurges = C.LearnedPurges;
-  S.ClausesPurged = C.ClausesPurged;
-  S.RedundantClauses = C.RedundantClauses;
-  return S;
-}
-
 std::string pathinv::formatSolverStats(const Verifier::SolverLayerStats &S) {
   std::string Out;
   Out += "solver layer:\n";
-  Out += "  facade queries:     " + std::to_string(S.SmtQueries) +
-         " (cache hits: " + std::to_string(S.SmtCacheHits) + ")\n";
-  Out += "  context checks:     " + std::to_string(S.ContextChecks) +
+  Out += "  formula checks:     " + std::to_string(S.FormulaChecks) +
+         " (memo hits: " + std::to_string(S.MemoHits) + ")\n";
+  Out += "  context checks:     " + std::to_string(S.Checks) +
          " (conjunction: " + std::to_string(S.ConjunctionChecks) +
          ", lazy: " + std::to_string(S.LazyChecks) + ")\n";
   Out += "  theory checks:      " + std::to_string(S.TheoryChecks) + "\n";
@@ -80,7 +50,7 @@ std::string pathinv::formatSolverStats(const Verifier::SolverLayerStats &S) {
 EngineResult Verifier::verifyProgram(const Program &P) {
   assert(&P.termManager() == TM.get() &&
          "program built against a foreign term manager");
-  return runEngine(P, *Solver, Opts);
+  return runEngine(P, Solver, Opts);
 }
 
 Expected<EngineResult> Verifier::verifySource(std::string_view PilSource) {
@@ -159,7 +129,7 @@ std::string pathinv::formatResult(const Program &, const EngineResult &R) {
            std::to_string(R.Stats.PdrGenDroppedLits) + ")";
     Out += "\n  pdr queries:        " +
            std::to_string(R.Stats.PdrFrameQueries) + " frame, " +
-           std::to_string(R.Stats.PdrFacadeQueries) + " facade";
+           std::to_string(R.Stats.PdrFacadeQueries) + " whole-formula";
   }
   // Resource governance: what the run actually spent against its budgets.
   // Printed even on exhaustion — these are the partial stats the resource
@@ -170,9 +140,6 @@ std::string pathinv::formatResult(const Program &, const EngineResult &R) {
            std::to_string(R.Stats.Resources.*B.Spent);
   Out += "\n  peak memory:        " +
          std::to_string(R.Stats.PeakMemoryBytes / 1024) + " KiB";
-  if (R.Stats.EscalationRetries != 0)
-    Out += "\n  escalation retries: " +
-           std::to_string(R.Stats.EscalationRetries);
   if (R.Verdict == EngineResult::Verdict::Unsafe) {
     Out += "\n  witness steps:      " + std::to_string(R.Witness.size());
     Out += R.WitnessReplayed ? "\n  witness replayed:   yes"

@@ -23,18 +23,14 @@
 
 #include "cegar/Engine.h"
 #include "lang/Lower.h"
+#include "smt/SolverContext.h"
 
 #include <memory>
 
 namespace pathinv {
 
-class SmtSolver;
-namespace smt {
-class SolverContext;
-}
-
-/// One verification context: owns the term manager and solver state,
-/// which are shared (and their caches kept warm) across queries.
+/// One verification context: owns the term manager and one solver
+/// context, which are shared (and their caches kept warm) across jobs.
 class Verifier {
 public:
   explicit Verifier(EngineOptions Opts = {});
@@ -53,56 +49,24 @@ public:
   Expected<Program> loadSource(std::string_view PilSource);
 
   TermManager &termManager() { return *TM; }
-  SmtSolver &solver() { return *Solver; }
-  /// The incremental context behind solver(): push/pop scopes, persistent
-  /// assertions, assumption-based checks (smt/SolverContext.h). Assertions
-  /// made here are honored (and cache-keyed) by the one-shot façade
-  /// queries routed through solver(); the engine's ground reachability
-  /// and path-feasibility batches run on their own private contexts and
-  /// do not see them.
-  smt::SolverContext &solverContext();
+  /// The context every engine call receives. It serves the whole-formula
+  /// queries (checkFormula): invariant-map checks, quantified entailments,
+  /// and PDR's counterexample paths and store-carrying transitions. The
+  /// engines' reachability, path-feasibility and frame queries run on
+  /// contexts of their own.
+  smt::SolverContext &solver() { return Solver; }
   const EngineOptions &options() const { return Opts; }
   EngineOptions &options() { return Opts; }
 
-  /// Structured statistics of the solver layer (the engine layer's stats
-  /// live in EngineResult::Stats).
-  struct SolverLayerStats {
-    // Façade (one-shot queries).
-    uint64_t SmtQueries = 0;
-    uint64_t SmtCacheHits = 0;
-    // Context layer.
-    uint64_t ContextChecks = 0;
-    uint64_t ConjunctionChecks = 0;
-    uint64_t LazyChecks = 0;
-    uint64_t TheoryChecks = 0;
-    uint64_t Pushes = 0;
-    uint64_t Pops = 0;
-    // Theory base tableau.
-    uint64_t BaseReuses = 0;
-    uint64_t BaseRebuilds = 0;
-    // Scoped branch-and-bound (integer/disequality splits served on the
-    // cached tableau) vs. scratch fallbacks. ScratchFallbacks creeping up
-    // means split-requiring queries are losing incrementality again.
-    uint64_t BnbNodes = 0;
-    uint64_t BnbRepairPivots = 0;
-    uint64_t BnbLemmas = 0;
-    uint64_t ScratchFallbacks = 0;
-    /// Distilled cut rows installed on the cached base tableau.
-    uint64_t CutRows = 0;
-    // CDCL core.
-    uint64_t SatConflicts = 0;
-    uint64_t SatDecisions = 0;
-    uint64_t SatPropagations = 0;
-    // Learned-clause garbage collection.
-    uint64_t LearnedPurges = 0;
-    uint64_t ClausesPurged = 0;
-    uint64_t RedundantClauses = 0;
-  };
-  SolverLayerStats solverStats() const;
+  /// Statistics of the solver layer: the shared context's counters,
+  /// lifetime totals (the engine layer's stats live in
+  /// EngineResult::Stats).
+  using SolverLayerStats = smt::ContextStats;
+  SolverLayerStats solverStats() const { return Solver.stats(); }
 
 private:
   std::unique_ptr<TermManager> TM;
-  std::unique_ptr<SmtSolver> Solver;
+  smt::SolverContext Solver;
   EngineOptions Opts;
 };
 

@@ -7,7 +7,7 @@
 #include "pdr/Frames.h"
 
 #include "logic/TermRewrite.h"
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 
 #include <algorithm>
 
@@ -131,7 +131,8 @@ uint64_t Frames::totalClauses() const {
   return N;
 }
 
-unsigned pathinv::pdr::verifyFrames(const Program &P, SmtSolver &Solver,
+unsigned pathinv::pdr::verifyFrames(const Program &P,
+                                    smt::SolverContext &Solver,
                                     const Frames &F) {
   TermManager &TM = P.termManager();
   unsigned Violations = 0;
@@ -146,7 +147,7 @@ unsigned pathinv::pdr::verifyFrames(const Program &P, SmtSolver &Solver,
     const Term *Q = Conj.size() == 1 ? Conj.front() : TM.mkAnd(Conj);
     // Unknown (resource trip, unsupported fragment) is not a violation:
     // the checker validates the frames, not the solver's stamina.
-    return Solver.checkSat(Q) == SmtSolver::Status::Sat;
+    return Solver.checkFormula(Q).isSat();
   };
 
   for (size_t Level = 1; Level <= F.frontier(); ++Level) {

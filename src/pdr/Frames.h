@@ -124,9 +124,10 @@ const Term *cubeClause(TermManager &TM, const Cube &C);
 /// (a tripped ResourceController or an unsupported fragment) do not
 /// count against well-formedness — only a satisfiable witness does.
 /// \returns the number of violations (0 = well-formed). The PDR engine
-/// asserts this in Debug builds before reporting a frame-based proof;
-/// tests call it directly.
-unsigned verifyFrames(const Program &P, SmtSolver &Solver, const Frames &F);
+/// asserts this in Debug builds before reporting a frame-based proof, on
+/// a context and controller of its own; tests call it directly.
+unsigned verifyFrames(const Program &P, smt::SolverContext &Solver,
+                      const Frames &F);
 
 } // namespace pdr
 } // namespace pathinv

@@ -9,8 +9,7 @@
 #include "logic/TermRewrite.h"
 #include "pdr/Frames.h"
 #include "program/PathFormula.h"
-#include "smt/FrameQuery.h"
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 #include "synth/PathInvariants.h"
 
 #include <algorithm>
@@ -29,14 +28,15 @@ namespace {
 enum class Step : uint8_t { Ok, Stop };
 
 /// The state of one PDR run: frames, the obligation arena + queue, the
-/// atom pool, the two solver paths (incremental frame-query context and
-/// the one-shot facade for store-carrying relations), and the
-/// CEGAR-shared precision that grows the pool on refinement.
+/// atom pool, the two solver paths (the run's own frame context, and the
+/// job's context for whole-formula queries over store-carrying
+/// relations), and the CEGAR-shared precision that grows the pool on
+/// refinement.
 struct PdrRun {
-  PdrRun(const Program &P, SmtSolver &Solver, const EngineOptions &Opts,
-         WholeProgramSearch &Whole)
+  PdrRun(const Program &P, smt::SolverContext &Solver,
+         const EngineOptions &Opts, WholeProgramSearch &Whole)
       : P(P), Solver(Solver), Opts(Opts), TM(P.termManager()),
-        FQ(TM), F(P), Incoming(static_cast<size_t>(P.numLocations())),
+        FrameCtx(TM), F(P), Incoming(static_cast<size_t>(P.numLocations())),
         Whole(Whole) {
     for (int T = 0; T < P.numTransitions(); ++T)
       Incoming[static_cast<size_t>(P.transition(T).To)].push_back(T);
@@ -44,10 +44,13 @@ struct PdrRun {
   }
 
   const Program &P;
-  SmtSolver &Solver;
+  smt::SolverContext &Solver;
   const EngineOptions &Opts;
   TermManager &TM;
-  smt::FrameQueryContext FQ;
+  /// Serves every frame query as a push/assert/checkSat/pop cycle, so
+  /// encodings, learned clauses and the cached tableau accumulate across
+  /// the run's queries while no assertion outlives its query.
+  smt::SolverContext FrameCtx;
   Frames F;
   EngineResult Result;
 
@@ -82,10 +85,41 @@ struct PdrRun {
     Queue.emplace(Level, Seq++, NodeIdx);
   }
 
-  const Term *primeLit(const Term *L) {
-    return renameVars(TM, L, [this](const Term *V) -> const Term * {
-      return isPrimedVar(V) ? nullptr : primedVar(TM, V);
-    });
+  /// \p C's literals over primed variables: the post-state of a
+  /// transition query.
+  std::vector<const Term *> primeCube(const Cube &C) {
+    std::vector<const Term *> Primed;
+    Primed.reserve(C.size());
+    for (const Term *L : C)
+      Primed.push_back(renameVars(TM, L, [this](const Term *V) -> const Term * {
+        return isPrimedVar(V) ? nullptr : primedVar(TM, V);
+      }));
+    return Primed;
+  }
+
+  /// Decides Base ∧ Rel ∧ Assumptions for the transition relation \p Rel
+  /// and counts the query by its route. A store-carrying relation needs
+  /// whole-formula array-write elimination, so the conjunction goes to the
+  /// job's context as one checkFormula() query, and its Unsat carries no
+  /// core. Any other is a frame query: Base and Rel asserted in a scope of
+  /// FrameCtx, with an Unsat core naming the failed Assumptions.
+  smt::CheckResult
+  transitionQuery(std::vector<const Term *> Base, const Term *Rel,
+                  const std::vector<const Term *> &Assumptions) {
+    Base.push_back(Rel);
+    if (containsStore(Rel)) {
+      ++Result.Stats.PdrFacadeQueries;
+      Base.insert(Base.end(), Assumptions.begin(), Assumptions.end());
+      return Solver.checkFormula(Base.size() == 1 ? Base.front()
+                                                  : TM.mkAnd(Base));
+    }
+    ++Result.Stats.PdrFrameQueries;
+    FrameCtx.push();
+    for (const Term *Conjunct : Base)
+      FrameCtx.assertTerm(Conjunct);
+    smt::CheckResult R = FrameCtx.checkSat(Assumptions);
+    FrameCtx.pop();
+    return R;
   }
 
   void addPoolAtoms(const Term *T, std::vector<const Term *> &Out) {
@@ -228,36 +262,18 @@ Step PdrRun::processNext() {
     F.collectClauses(TM, Level - 1, T.From, Base);
     if (T.From == Loc)
       Base.push_back(cubeClause(TM, C)); // Relative induction: F ∧ ¬c.
-    if (containsStore(T.Rel)) {
-      // Store-carrying relation: route through the one-shot facade
-      // (whole-formula array-write elimination). No assumption core, so
-      // this transition forfeits generalization for the whole cube.
-      ++Result.Stats.PdrFacadeQueries;
-      std::vector<const Term *> All = Base;
-      All.push_back(T.Rel);
-      for (const Term *L : C)
-        All.push_back(primeLit(L));
-      SmtSolver::Status S =
-          Solver.checkSat(All.size() == 1 ? All.front() : TM.mkAnd(All));
-      if (S == SmtSolver::Status::Unknown)
-        return unknownQuery();
-      if (S == SmtSolver::Status::Unsat) {
-        NoGen = true;
-        continue;
-      }
-      return descend(NodeIdx, Level, TIdx, smt::Model(Solver.model()));
-    }
-    ++Result.Stats.PdrFrameQueries;
-    Base.push_back(T.Rel);
-    std::vector<const Term *> Assumptions;
-    Assumptions.reserve(C.size());
-    for (const Term *L : C)
-      Assumptions.push_back(primeLit(L));
-    smt::CheckResult R = FQ.query(Base, Assumptions);
+    std::vector<const Term *> Assumptions = primeCube(C);
+    smt::CheckResult R = transitionQuery(std::move(Base), T.Rel, Assumptions);
     if (R.isUnknown())
       return unknownQuery();
     if (R.isSat())
       return descend(NodeIdx, Level, TIdx, R.model());
+    if (containsStore(T.Rel)) {
+      // No assumption core: this transition forfeits generalization for
+      // the whole cube.
+      NoGen = true;
+      continue;
+    }
     const smt::UnsatCore &Core = R.core();
     for (size_t LI = 0; LI < C.size(); ++LI)
       if (Core.contains(Assumptions[LI]))
@@ -288,17 +304,17 @@ Step PdrRun::handleCexCandidate(int NodeIdx) {
   ++Result.Stats.PdrCexCandidates;
   Path Cex = pathFromNode(NodeIdx);
   PathFormula PF = buildPathFormula(P, Cex);
-  SmtSolver::Status S = Solver.checkSat(PF.formula(TM));
-  if (S == SmtSolver::Status::Unknown) {
+  smt::CheckResult Feasibility = Solver.checkFormula(PF.formula(TM));
+  if (Feasibility.isUnknown()) {
     Result.Note = resourceExhausted()
                       ? "resources exhausted during counterexample analysis"
                       : "counterexample analysis inconclusive";
     return Step::Stop;
   }
-  if (S == SmtSolver::Status::Sat) {
+  if (Feasibility.isSat()) {
     Result.Verdict = EngineResult::Verdict::Unsafe;
     Result.Witness = Cex;
-    Result.Replay = replayFromModel(P, Cex, Solver.model());
+    Result.Replay = replayFromModel(P, Cex, Feasibility.model().values());
     Result.WitnessReplayed = Result.Replay.Feasible;
     return Step::Stop;
   }
@@ -373,27 +389,12 @@ Step PdrRun::badCheck(bool &Found) {
       continue; // Reachability of error itself is the question.
     std::vector<const Term *> Base;
     F.collectClauses(TM, K, T.From, Base);
-    Base.push_back(T.Rel);
-    smt::Model M;
-    if (containsStore(T.Rel)) {
-      ++Result.Stats.PdrFacadeQueries;
-      SmtSolver::Status S =
-          Solver.checkSat(Base.size() == 1 ? Base.front() : TM.mkAnd(Base));
-      if (S == SmtSolver::Status::Unknown)
-        return unknownQuery();
-      if (S == SmtSolver::Status::Unsat)
-        continue;
-      M = smt::Model(Solver.model());
-    } else {
-      ++Result.Stats.PdrFrameQueries;
-      smt::CheckResult R = FQ.query(Base, {});
-      if (R.isUnknown())
-        return unknownQuery();
-      if (R.isUnsat())
-        continue;
-      M = R.model();
-    }
-    Nodes.push_back({T.From, cubeFromModel(M), -1, TIdx});
+    smt::CheckResult R = transitionQuery(std::move(Base), T.Rel, {});
+    if (R.isUnknown())
+      return unknownQuery();
+    if (R.isUnsat())
+      continue;
+    Nodes.push_back({T.From, cubeFromModel(R.model()), -1, TIdx});
     enqueue(K, static_cast<int>(Nodes.size()) - 1);
     Found = true;
     return Step::Ok;
@@ -417,34 +418,13 @@ Step PdrRun::pushPhase() {
           F.collectClauses(TM, Level, T.From, Base);
           if (T.From == Loc)
             Base.push_back(cubeClause(TM, C));
-          if (containsStore(T.Rel)) {
-            ++Result.Stats.PdrFacadeQueries;
-            std::vector<const Term *> All = Base;
-            All.push_back(T.Rel);
-            for (const Term *L : C)
-              All.push_back(primeLit(L));
-            SmtSolver::Status S = Solver.checkSat(
-                All.size() == 1 ? All.front() : TM.mkAnd(All));
-            if (S == SmtSolver::Status::Unknown)
-              return unknownQuery();
-            if (S == SmtSolver::Status::Sat) {
-              Inductive = false;
-              break;
-            }
-          } else {
-            ++Result.Stats.PdrFrameQueries;
-            Base.push_back(T.Rel);
-            std::vector<const Term *> Assumptions;
-            Assumptions.reserve(C.size());
-            for (const Term *L : C)
-              Assumptions.push_back(primeLit(L));
-            smt::CheckResult R = FQ.query(Base, Assumptions);
-            if (R.isUnknown())
-              return unknownQuery();
-            if (R.isSat()) {
-              Inductive = false;
-              break;
-            }
+          smt::CheckResult R =
+              transitionQuery(std::move(Base), T.Rel, primeCube(C));
+          if (R.isUnknown())
+            return unknownQuery();
+          if (R.isSat()) {
+            Inductive = false;
+            break;
           }
         }
         if (Inductive) {
@@ -468,8 +448,19 @@ Step PdrRun::tryFixpoint() {
   if (Fix < 0)
     return Step::Ok;
   InvariantMap Map = F.invariantMap(TM, P, static_cast<size_t>(Fix));
-  assert(verifyFrames(P, Solver, F) == 0 &&
-         "pdr frame trail ill-formed at fixpoint");
+#ifndef NDEBUG
+  {
+    // The Debug-only frame check runs on a context and an unlimited
+    // controller of its own: it must neither spend the job's budgets nor
+    // warm the job's context, or a Debug build would decide differently.
+    ResourceController Ungoverned;
+    Ungoverned.start();
+    ResourceScope Scope(Ungoverned);
+    smt::SolverContext FrameCheck(TM);
+    assert(verifyFrames(P, FrameCheck, F) == 0 &&
+           "pdr frame trail ill-formed at fixpoint");
+  }
+#endif
   InvariantCheckResult Check = checkInvariantMap(P, Map, Solver);
   if (!Check.Ok) {
     if (!Check.Undecided)
@@ -523,7 +514,7 @@ void PdrRun::runLoop() {
 
 } // namespace
 
-EngineResult pathinv::runPdr(const Program &P, SmtSolver &Solver,
+EngineResult pathinv::runPdr(const Program &P, smt::SolverContext &Solver,
                              const EngineOptions &Opts,
                              WholeProgramSearch &Whole) {
   PdrRun Run(P, Solver, Opts, Whole);

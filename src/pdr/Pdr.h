@@ -39,7 +39,7 @@ namespace pathinv {
 /// Verifies \p P with the PDR engine under the thread's active
 /// ResourceController, the PDR counterpart of runCegar. \p Whole is the
 /// job's whole-program search, owned by the caller.
-EngineResult runPdr(const Program &P, SmtSolver &Solver,
+EngineResult runPdr(const Program &P, smt::SolverContext &Solver,
                     const EngineOptions &Opts, WholeProgramSearch &Whole);
 
 } // namespace pathinv

@@ -133,7 +133,8 @@ bool wellFormedErrorPath(const Program &P, const std::vector<int> &Path) {
 
 } // namespace
 
-bool pathinv::serve::revalidateEntry(const Program &P, SmtSolver &Solver,
+bool pathinv::serve::revalidateEntry(const Program &P,
+                                     smt::SolverContext &Solver,
                                      const CacheEntry &Entry, EngineResult &R,
                                      std::string &WhyNot) {
   if (Entry.Verdict == 'S') {

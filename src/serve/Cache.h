@@ -39,8 +39,10 @@
 namespace pathinv {
 
 class Program;
-class SmtSolver;
 struct EngineResult;
+namespace smt {
+class SolverContext;
+}
 
 namespace serve {
 
@@ -115,7 +117,7 @@ bool buildCacheEntry(const Program &P, const EngineResult &R,
 /// location. On success fills \p R with a served result (verdict,
 /// invariant map / witness, note). \returns false (with \p WhyNot) when
 /// the entry is rejected — the caller recomputes.
-bool revalidateEntry(const Program &P, SmtSolver &Solver,
+bool revalidateEntry(const Program &P, smt::SolverContext &Solver,
                      const CacheEntry &Entry, EngineResult &R,
                      std::string &WhyNot);
 

@@ -7,7 +7,7 @@
 /// \file
 /// The pathinvd service core: a bounded admission queue in front of a
 /// pool of worker threads, each owning a fully private verification stack
-/// (TermManager, SmtSolver, solver contexts), so that no job shares
+/// (TermManager and solver contexts), so that no job shares
 /// mutable solver state with any other — thread-clean by construction,
 /// with strings as the only data crossing worker boundaries.
 ///

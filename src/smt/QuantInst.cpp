@@ -6,7 +6,7 @@
 
 #include "smt/QuantInst.h"
 
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 
 using namespace pathinv;
 
@@ -116,7 +116,7 @@ const Term *pathinv::entailmentQuery(TermManager &TM, const Term *Hyp,
                                 LocalCounter);
 }
 
-bool pathinv::entailsWithQuant(TermManager &TM, SmtSolver &Solver,
+bool pathinv::entailsWithQuant(TermManager &TM, smt::SolverContext &Solver,
                                const Term *Hyp, const Term *Concl) {
-  return Solver.isUnsat(entailmentQuery(TM, Hyp, Concl));
+  return Solver.checkFormula(entailmentQuery(TM, Hyp, Concl)).isUnsat();
 }

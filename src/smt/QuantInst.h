@@ -33,7 +33,9 @@
 
 namespace pathinv {
 
-class SmtSolver;
+namespace smt {
+class SolverContext;
+}
 
 /// Rewrites \p F into a quantifier-free formula whose unsatisfiability
 /// implies the unsatisfiability of \p F. \p FreshCounter provides unique
@@ -44,7 +46,7 @@ const Term *instantiateQuantifiers(TermManager &TM, const Term *F,
 /// The ground query behind entailsWithQuant: `Hyp /\ !Concl` with its
 /// quantifiers instantiated, unsatisfiable only if \p Hyp entails
 /// \p Concl. Skolem names restart per query so identical queries produce
-/// identical ground formulas — keeping the SMT solver's memoization
+/// identical ground formulas — keeping checkFormula()'s Unsat memo
 /// effective across the many repeated queries of predicate abstraction.
 const Term *entailmentQuery(TermManager &TM, const Term *Hyp,
                             const Term *Concl);
@@ -53,8 +55,8 @@ const Term *entailmentQuery(TermManager &TM, const Term *Hyp,
 /// \p Hyp entails \p Concl. (May return false on entailments outside the
 /// array-property fragment, and when the solver cannot decide the
 /// entailmentQuery.)
-bool entailsWithQuant(TermManager &TM, SmtSolver &Solver, const Term *Hyp,
-                      const Term *Concl);
+bool entailsWithQuant(TermManager &TM, smt::SolverContext &Solver,
+                      const Term *Hyp, const Term *Concl);
 
 } // namespace pathinv
 

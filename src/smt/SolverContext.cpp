@@ -6,6 +6,8 @@
 
 #include "smt/SolverContext.h"
 
+#include "smt/ArrayElim.h"
+
 #include <algorithm>
 
 using namespace pathinv;
@@ -177,6 +179,49 @@ SolverContext::checkSat(const std::vector<const Term *> &Assumptions) {
       ++Stats.LearnedPurges;
   }
   return R;
+}
+
+CheckResult SolverContext::checkFormula(const Term *Formula) {
+  ++Stats.FormulaChecks;
+  assert(!containsQuantifier(Formula) &&
+         "SMT core is quantifier-free; instantiate quantifiers first");
+
+  // Memoize on the original formula, before any transformation: a hit
+  // must stay one lookup.
+  std::pair<uint64_t, uint32_t> Key(Fingerprint, Formula->id());
+  if (UnsatMemo.count(Key)) {
+    ++Stats.MemoHits;
+    return CheckResult::unsat(UnsatCore());
+  }
+
+  // Array-write elimination is a whole-formula transformation (array
+  // aliasing is resolved globally), so it runs before the formula is
+  // split across scopes or assumptions. containsStore is an O(1) flag.
+  const Term *F = Formula;
+  if (containsStore(Formula)) {
+    Expected<const Term *> Reduced = eliminateArrayWrites(TM, Formula);
+    if (!Reduced)
+      return CheckResult::unknown(); // Outside the array fragment.
+    F = Reduced.get();
+  }
+
+  // Literal conjunctions ride the theory fast path as one batch of
+  // assumption literals: no scope churn in the theory base, and splits
+  // are served by the scoped branch-and-bound on the cached tableau.
+  std::vector<const Term *> Literals;
+  CheckResult R = [&] {
+    if (isLiteralConjunction(F, Literals))
+      return checkSat(Literals);
+    push();
+    assertTerm(F);
+    CheckResult Scoped = checkSat();
+    pop();
+    return Scoped;
+  }();
+  if (!R.isUnsat())
+    return R;
+  UnsatMemo.insert(Key);
+  return CheckResult::unsat(UnsatCore());
 }
 
 CheckResult

@@ -33,6 +33,11 @@
 /// elimination is a whole-formula transformation and must not be run
 /// conjunct-by-conjunct.
 ///
+/// Whole-formula queries that share no structure with each other
+/// (invariant-map obligations, counterexample path formulas, entailments)
+/// go through checkFormula(), which eliminates array writes itself, runs
+/// the query in a scope of its own and memoizes Unsat verdicts.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef PATHINV_SMT_SOLVERCONTEXT_H
@@ -44,6 +49,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 
 namespace pathinv {
 namespace smt {
@@ -181,6 +187,9 @@ struct ContextStats {
   uint64_t BnbLemmas = 0;       ///< Branch-derived bound lemmas learned.
   uint64_t ScratchFallbacks = 0; ///< Queries that left the cached tableau.
   uint64_t CutRows = 0;         ///< Distilled cut-row installs on the base.
+  // Whole-formula queries (checkFormula).
+  uint64_t FormulaChecks = 0; ///< checkFormula() calls.
+  uint64_t MemoHits = 0;      ///< Of those, answered by the Unsat memo.
 };
 
 /// Incremental SMT context. See the file comment for the architecture.
@@ -212,6 +221,16 @@ public:
   /// retained). On Unsat the core names the responsible assumptions.
   CheckResult checkSat() { return checkSat({}); }
   CheckResult checkSat(const std::vector<const Term *> &Assumptions);
+
+  /// Decides quantifier-free \p Formula under the live assertions, leaving
+  /// them unchanged. Array writes are eliminated on the whole formula
+  /// first; a literal conjunction is then checked as one batch of
+  /// assumptions, anything else in a throwaway scope. Unsat verdicts are
+  /// memoized keyed by (assertionFingerprint(), formula id), so a repeated
+  /// query under the same asserted state costs one lookup. Unknown (a
+  /// tripped controller, or a formula outside the array fragment) is never
+  /// memoized. An Unsat result carries no core.
+  CheckResult checkFormula(const Term *Formula);
 
   /// Order-sensitive hash of the live assertion stack. Two equal
   /// fingerprints mean the same asserted state, so results of pure checks
@@ -266,6 +285,9 @@ private:
   size_t NumPermanentAssertions = 0;
   uint64_t Fingerprint = 0x9e3779b97f4a7c15ull;
   std::map<const Term *, Lit, TermIdLess> NodeLit; ///< Tseitin cache.
+  /// (assertion fingerprint, formula id) of every checkFormula() query
+  /// proven Unsat.
+  std::set<std::pair<uint64_t, uint32_t>> UnsatMemo;
   size_t LearnedBudget = 20000;
   ContextStats Stats;
 };

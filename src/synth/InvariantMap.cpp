@@ -11,7 +11,7 @@
 #include "program/CutSet.h"
 #include "program/PathFormula.h"
 #include "smt/QuantInst.h"
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 
 using namespace pathinv;
 
@@ -36,7 +36,7 @@ std::string InvariantMap::dump(const Program &P) const {
 
 InvariantCheckResult pathinv::checkInvariantMap(const Program &P,
                                                 const InvariantMap &Map,
-                                                SmtSolver &Solver) {
+                                                smt::SolverContext &Solver) {
   TermManager &TM = P.termManager();
   InvariantCheckResult Result;
 
@@ -80,14 +80,14 @@ InvariantCheckResult pathinv::checkInvariantMap(const Program &P,
     const Term *PreRenamed = substitute(TM, Pre, PF.InitialVars);
     const Term *PostRenamed = substitute(TM, Post, PF.FinalVars);
     const Term *Hyp = TM.mkAnd(PreRenamed, PF.formula(TM));
-    SmtSolver::Status S =
-        Solver.checkSat(entailmentQuery(TM, Hyp, PostRenamed));
-    if (S == SmtSolver::Status::Unsat)
+    smt::CheckResult R =
+        Solver.checkFormula(entailmentQuery(TM, Hyp, PostRenamed));
+    if (R.isUnsat())
       continue;
     std::string Where = " on segment " + P.locationName(Src) + " ~> " +
                         P.locationName(Dst) + " for target " +
                         printTerm(Post);
-    if (S == SmtSolver::Status::Sat) {
+    if (R.isSat()) {
       Result.Undecided = false;
       Result.FailureReason = "inductiveness fails" + Where;
       return Result;

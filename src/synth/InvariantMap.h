@@ -30,7 +30,9 @@
 
 namespace pathinv {
 
-class SmtSolver;
+namespace smt {
+class SolverContext;
+}
 
 /// Location -> invariant formula (over the program variables).
 /// Locations absent from the map are implicitly `true`.
@@ -73,7 +75,7 @@ struct InvariantCheckResult {
 /// one is refuted.
 InvariantCheckResult checkInvariantMap(const Program &P,
                                        const InvariantMap &Map,
-                                       SmtSolver &Solver);
+                                       smt::SolverContext &Solver);
 
 /// Serializes \p Map as a portable `pathinv-cert-v1` certificate: the
 /// version header, then one `<location-name> := <formula>` line per mapped

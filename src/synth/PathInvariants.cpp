@@ -9,13 +9,12 @@
 #include "absint/Interval.h"
 #include "core/Resource.h"
 #include "program/CutSet.h"
-#include "smt/SmtSolver.h"
 #include "synth/TemplateHeuristics.h"
 
 using namespace pathinv;
 
 PathInvResult
-pathinv::generatePathInvariants(const Program &P, SmtSolver &Solver,
+pathinv::generatePathInvariants(const Program &P, smt::SolverContext &Solver,
                                 const SynthOptions &Opts,
                                 const LevelFailedHook &OnLevelFailed) {
   TermManager &TM = P.termManager();
@@ -42,7 +41,6 @@ pathinv::generatePathInvariants(const Program &P, SmtSolver &Solver,
     Result.LpChecks += Synth.LpChecks;
     Result.Learn.add(Synth.Learn);
     if (!Synth.Found) {
-      Result.ResourceOut |= Synth.ResourceOut;
       Result.FailureReason = Synth.ResourceOut
                                  ? "solver budget exhausted"
                                  : "no solution within template level " +
@@ -75,8 +73,9 @@ pathinv::generatePathInvariants(const Program &P, SmtSolver &Solver,
   return Result;
 }
 
-PathInvResult pathinv::generateIntervalInvariants(const Program &P,
-                                                  SmtSolver &Solver) {
+PathInvResult
+pathinv::generateIntervalInvariants(const Program &P,
+                                    smt::SolverContext &Solver) {
   TermManager &TM = P.termManager();
   PathInvResult Result;
   IntervalAnalysisResult Analysis = analyzeIntervals(P);

@@ -44,10 +44,6 @@ struct PathInvResult {
   /// Conflict-learning work accumulated across all template levels tried.
   SynthLearnStats Learn;
   std::string FailureReason;
-  /// Synthesis stopped on a resource limit (its own LP-check budget or
-  /// the job's ResourceController) rather than exhausting the search
-  /// space — the escalation ladder keys off this.
-  bool ResourceOut = false;
   /// The LevelFailedHook ended the search before the next level.
   bool Stopped = false;
 };
@@ -61,7 +57,8 @@ using LevelFailedHook = std::function<bool()>;
 /// levels 0 through MaxTemplateLevel, solving each level's conditions
 /// under \p Opts, and returns the first map that passes
 /// checkInvariantMap.
-PathInvResult generatePathInvariants(const Program &P, SmtSolver &Solver,
+PathInvResult generatePathInvariants(const Program &P,
+                                     smt::SolverContext &Solver,
                                      const SynthOptions &Opts = {},
                                      const LevelFailedHook &OnLevelFailed = {});
 
@@ -69,7 +66,7 @@ PathInvResult generatePathInvariants(const Program &P, SmtSolver &Solver,
 /// interval fixpoint proves the error location unreachable and the map
 /// passes checkInvariantMap.
 PathInvResult generateIntervalInvariants(const Program &P,
-                                         SmtSolver &Solver);
+                                         smt::SolverContext &Solver);
 
 } // namespace pathinv
 

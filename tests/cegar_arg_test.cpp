@@ -20,7 +20,7 @@
 #include "core/Verifier.h"
 #include "lang/Lower.h"
 #include "logic/FormulaParser.h"
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 
 #include <gtest/gtest.h>
 
@@ -80,7 +80,7 @@ TEST_F(PrecisionTest, ScopedPredicateSkipsOtherLocationsBatches) {
     TermManager TM2;
     auto P = loadProgram(TM2, Src);
     EXPECT_TRUE(P.hasValue());
-    SmtSolver Solver(TM2);
+    smt::SolverContext Solver(TM2);
     SortEnv Env2;
     Precision Pi;
     const Term *Pred = parseFormula(TM2, "x >= 1", Env2).get();
@@ -123,7 +123,7 @@ TEST_F(PrecisionTest, CoveringClosesLoopsAndInvariantsHold) {
   TermManager TM2;
   auto P = loadProgram(TM2, Src);
   ASSERT_TRUE(P.hasValue());
-  SmtSolver Solver(TM2);
+  smt::SolverContext Solver(TM2);
   SortEnv Env2;
   Precision Pi;
   Pi.addGlobal(parseFormula(TM2, "i >= 0", Env2).get());
@@ -164,7 +164,7 @@ TEST(RefinerAttributionTest, NewPredicatesLandOnPathLocations) {
       TM, "proc p(n) { var i; i = 0; while (i < 3) { i = i + 1; } "
           "assert(i == 3); }");
   ASSERT_TRUE(P.hasValue());
-  SmtSolver Solver(TM);
+  smt::SolverContext Solver(TM);
   Precision Pi;
   ReachEngine Reach(P.get(), Pi, Solver);
   ArgRunResult R = Reach.run();
@@ -263,7 +263,7 @@ TEST(WholeProgramEscalationTest, CompletedSearchIsNeverRepeated) {
   TermManager TM;
   auto P = loadProgram(TM, testprogs::ScalarBug);
   ASSERT_TRUE(P.hasValue());
-  SmtSolver Solver(TM);
+  smt::SolverContext Solver(TM);
   WholeProgramSearch Search;
   EngineResult First;
   EXPECT_FALSE(escalateToWholeProgram(P.get(), Solver,
@@ -286,7 +286,7 @@ TEST(WholeProgramEscalationTest, InterruptedSearchStaysRetryable) {
   TermManager TM;
   auto P = loadProgram(TM, testprogs::Forward);
   ASSERT_TRUE(P.hasValue());
-  SmtSolver Solver(TM);
+  smt::SolverContext Solver(TM);
   WholeProgramSearch Search;
   {
     ResourceLimits Tight;

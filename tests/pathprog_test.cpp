@@ -8,7 +8,7 @@
 #include "lang/Lower.h"
 #include "pathprog/PathProgram.h"
 #include "program/CutSet.h"
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 
 #include <gtest/gtest.h>
 
@@ -166,7 +166,7 @@ TEST(PathProgramTest, ForwardCounterexampleYieldsLoopingPathProgram) {
   // The path program is itself a program whose own error paths are all
   // infeasible (the family of spurious counterexamples): check the two
   // shortest.
-  SmtSolver Solver(TM);
+  smt::SolverContext Solver(TM);
   struct Node {
     LocId Loc;
     Path Steps;
@@ -192,7 +192,7 @@ TEST(PathProgramTest, ForwardCounterexampleYieldsLoopingPathProgram) {
   ASSERT_GE(ErrorPaths.size(), 1u);
   for (const Path &Pi : ErrorPaths) {
     PathFormula PF = buildPathFormula(PP.Prog, Pi);
-    EXPECT_EQ(Solver.checkSat(PF.formula(TM)), SmtSolver::Status::Unsat)
+    EXPECT_TRUE(Solver.checkFormula(PF.formula(TM)).isUnsat())
         << "path program admits a feasible error path";
   }
 }

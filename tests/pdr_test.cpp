@@ -16,7 +16,7 @@
 #include "TestPrograms.h"
 #include "core/Verifier.h"
 #include "pdr/Frames.h"
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 #include "synth/InvariantMap.h"
 
 #include <gtest/gtest.h>
@@ -121,7 +121,7 @@ struct CounterCfa {
 
 TEST(PdrFramesTest, VerifyFramesAcceptsInductiveTrail) {
   CounterCfa C;
-  SmtSolver Solver(C.TM);
+  smt::SolverContext Solver(C.TM);
   Frames F(C.P);
   F.extend();
   // x >= 0 is inductive at the loop head: established by x:=0, preserved
@@ -132,7 +132,7 @@ TEST(PdrFramesTest, VerifyFramesAcceptsInductiveTrail) {
 
 TEST(PdrFramesTest, VerifyFramesRejectsNonInductiveClause) {
   CounterCfa C;
-  SmtSolver Solver(C.TM);
+  smt::SolverContext Solver(C.TM);
   Frames F(C.P);
   F.extend();
   // x <= 5 is established by x:=0 but not preserved by x:=x+1: the
@@ -144,7 +144,7 @@ TEST(PdrFramesTest, VerifyFramesRejectsNonInductiveClause) {
 
 TEST(PdrFramesTest, VerifyFramesRejectsEntryClause) {
   CounterCfa C;
-  SmtSolver Solver(C.TM);
+  smt::SolverContext Solver(C.TM);
   Frames F(C.P);
   // Entry's init frame is unconstrained: any clause there is ill-formed,
   // however plausible it looks.
@@ -241,6 +241,27 @@ TEST(PdrEngineTest, EscalatesAtTheFirstFailedTemplateLevel) {
     EXPECT_EQ(R.get().Stats.LpChecks, C.LpChecks) << C.Name;
     EXPECT_EQ(R.get().Stats.PdrObligations, C.Obligations) << C.Name;
   }
+}
+
+TEST(PdrEngineTest, FixpointProofFitsItsBudgetInEveryBuildType) {
+  // fuzz_counter_safe's fixpoint proof, validation included, spends 12 SAT
+  // conflicts. Debug builds additionally check the frame trail at the
+  // fixpoint; that check runs on its own context and controller, so it
+  // must not push the job past the budget a release build fits in.
+  std::ifstream In(PATHINV_EXAMPLES_DIR "/fuzz_counter_safe.pil");
+  ASSERT_TRUE(In.good());
+  std::ostringstream Source;
+  Source << In.rdbuf();
+
+  EngineOptions Opts;
+  Opts.Engine = EngineKind::Pdr;
+  Opts.Limits.SatConflicts = 12;
+  Verifier V(Opts);
+  auto R = V.verifySource(Source.str());
+  ASSERT_TRUE(R.hasValue());
+  EXPECT_EQ(R.get().Verdict, EngineResult::Verdict::Safe) << R.get().Note;
+  EXPECT_EQ(R.get().Note, "proved by pdr fixpoint at frame 10");
+  EXPECT_EQ(R.get().Stats.Resources.SatConflicts, 12u);
 }
 
 //===----------------------------------------------------------------------===//

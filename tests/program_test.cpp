@@ -11,7 +11,8 @@
 #include "logic/TermPrinter.h"
 #include "program/CutSet.h"
 #include "program/PathFormula.h"
-#include "smt/SmtSolver.h"
+#include "smt/QuantInst.h"
+#include "smt/SolverContext.h"
 
 #include <gtest/gtest.h>
 
@@ -41,11 +42,11 @@ TEST(ProgramTest, AssignBuildsFrame) {
   std::vector<const Term *> Conjuncts;
   flattenConjuncts(Rel, Conjuncts);
   EXPECT_EQ(Conjuncts.size(), 2u);
-  SmtSolver Solver(TM);
-  EXPECT_TRUE(Solver.entails(
-      Rel, TM.mkEq(primedVar(TM, Y), Y)));
-  EXPECT_TRUE(Solver.entails(
-      Rel, TM.mkEq(primedVar(TM, X), TM.mkAdd(X, TM.mkIntConst(1)))));
+  smt::SolverContext Solver(TM);
+  EXPECT_TRUE(entailsWithQuant(TM, Solver, Rel, TM.mkEq(primedVar(TM, Y), Y)));
+  EXPECT_TRUE(entailsWithQuant(
+      TM, Solver, Rel,
+      TM.mkEq(primedVar(TM, X), TM.mkAdd(X, TM.mkIntConst(1)))));
 }
 
 TEST(LangTest, ParseErrors) {
@@ -117,9 +118,9 @@ TEST(PathFormulaTest, SsaRenamesPerStep) {
   EXPECT_EQ(PF.InitialVars.at(X), ssaVar(TM, X, 0));
   EXPECT_EQ(PF.FinalVars.at(X), ssaVar(TM, X, 2));
   // x@2 = x@0 + 2 must be entailed.
-  SmtSolver Solver(TM);
-  EXPECT_TRUE(Solver.entails(
-      PF.formula(TM),
+  smt::SolverContext Solver(TM);
+  EXPECT_TRUE(entailsWithQuant(
+      TM, Solver, PF.formula(TM),
       TM.mkEq(ssaVar(TM, X, 2),
               TM.mkAdd(ssaVar(TM, X, 0), TM.mkIntConst(2)))));
 }
@@ -158,8 +159,8 @@ TEST(PathFormulaTest, ForwardCounterexampleIsInfeasible) {
   Path Pi = findErrorPath(P.get());
   ASSERT_FALSE(Pi.empty());
   PathFormula PF = buildPathFormula(P.get(), Pi);
-  SmtSolver Solver(TM);
-  EXPECT_EQ(Solver.checkSat(PF.formula(TM)), SmtSolver::Status::Unsat);
+  smt::SolverContext Solver(TM);
+  EXPECT_TRUE(Solver.checkFormula(PF.formula(TM)).isUnsat());
 }
 
 TEST(PathFormulaTest, BuggyProgramPathIsFeasibleAndReplays) {
@@ -167,7 +168,7 @@ TEST(PathFormulaTest, BuggyProgramPathIsFeasibleAndReplays) {
   auto P = loadProgram(TM, testprogs::ScalarBug);
   ASSERT_TRUE(P.hasValue());
   // Enumerate error paths; at least one must be feasible.
-  SmtSolver Solver(TM);
+  smt::SolverContext Solver(TM);
   Path Feasible;
   for (size_t Len = 1; Len <= 8 && Feasible.empty(); ++Len) {
     // findErrorPath returns the shortest; extend search by trying all.
@@ -198,11 +199,12 @@ TEST(PathFormulaTest, BuggyProgramPathIsFeasibleAndReplays) {
   bool FoundFeasible = false;
   for (const Path &Pi : AllPaths) {
     PathFormula PF = buildPathFormula(P.get(), Pi);
-    if (Solver.checkSat(PF.formula(TM)) != SmtSolver::Status::Sat)
+    smt::CheckResult R = Solver.checkFormula(PF.formula(TM));
+    if (!R.isSat())
       continue;
     FoundFeasible = true;
     // Replay concretely: the model must drive execution along the path.
-    ReplayResult RR = replayFromModel(P.get(), Pi, Solver.model());
+    ReplayResult RR = replayFromModel(P.get(), Pi, R.model().values());
     EXPECT_TRUE(RR.Feasible) << "failed at step " << RR.FailedStep;
     // The witness input must indeed exceed 3 (n > 3 branch).
     const Term *N = TM.mkVar("n", Sort::Int);

@@ -282,10 +282,10 @@ TEST(RobustnessTest, MemoryCeilingTripsWithReason) {
 
 TEST(RobustnessTest, VerifierStaysUsableAfterExhaustion) {
   // One verifier per program: a run throttled into Unknown, then the same
-  // verifier (same term manager, same facade solver and caches) with the
+  // verifier (same term manager, same solver context and memo) with the
   // limits lifted must produce the correct verdict. Interrupted results
-  // leaking into the solver's memo cache, or a solver object left
-  // mid-scope, would surface here.
+  // leaking into the context's Unsat memo, or a context left mid-scope,
+  // would surface here.
   for (const ProgSpec &Prog : paperPrograms()) {
     Verifier V;
     V.options().Limits.Pivots = 25;
@@ -302,10 +302,11 @@ TEST(RobustnessTest, VerifierStaysUsableAfterExhaustion) {
 }
 
 TEST(RobustnessTest, EscalationLadderIsObservable) {
-  // A starved synthesis budget forces RefineResult::ResourceOut; when the
-  // controller itself has not tripped the engine retries with the
-  // interval backend. This exercises the ladder code path; the contract
-  // stays graceful either way.
+  // A starved synthesis-combination budget: the job's controller trips in
+  // the first synthesis search that needs more than 8 combinations
+  // (forward, init_check and partition end Unknown with reason
+  // synth_combos), and every outcome stays graceful: the right verdict or
+  // a reasoned Unknown.
   for (const ProgSpec &Prog : paperPrograms()) {
     Verifier V;
     V.options().Limits.SynthCombos = 8;

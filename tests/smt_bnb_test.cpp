@@ -15,7 +15,6 @@
 
 #include "core/Resource.h"
 #include "logic/LinearExpr.h"
-#include "smt/SmtSolver.h"
 #include "smt/SolverContext.h"
 #include "smt/TheoryConj.h"
 
@@ -359,7 +358,7 @@ TEST(SmtBnbTest, ContextAssumptionStormStaysIncremental) {
   // The CEGAR query pattern end-to-end: one SolverContext holds an
   // SSA-style even-step chain; every query is a batch of assumption
   // literals needing integrality and disequality splits. Verdicts are
-  // cross-checked against a fresh one-shot facade per query, and the
+  // cross-checked against a fresh conjunction solve per query, and the
   // context must serve every split on the cached tableau.
   TermManager TM;
   smt::SolverContext Ctx(TM);

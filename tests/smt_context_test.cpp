@@ -7,14 +7,13 @@
 /// \file
 /// Semantics of the incremental solver context: nested scopes, pop
 /// restoring satisfiability, assumption-based unsat cores, model
-/// stability across scopes, and the fingerprint-keyed memoization of the
-/// one-shot façade.
+/// stability across scopes, and the fingerprint-keyed Unsat memo of
+/// whole-formula checks.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Resource.h"
 #include "logic/FormulaParser.h"
-#include "smt/SmtSolver.h"
 #include "smt/SolverContext.h"
 
 #include <gtest/gtest.h>
@@ -220,50 +219,42 @@ TEST_F(SolverContextTest, FingerprintTracksScopes) {
   Ctx.pop();
 }
 
-// --- Façade memoization under context state ---------------------------------
+// --- Whole-formula checks under context state -------------------------------
 
-TEST(SmtSolverFacadeTest, MemoKeyedByContextState) {
-  TermManager TM;
-  SortEnv Env;
-  SmtSolver Solver(TM);
-  auto parse = [&](const char *Text) {
-    auto F = parseFormula(TM, Text, Env);
-    EXPECT_TRUE(F.hasValue());
-    return F.get();
-  };
-
+TEST_F(SolverContextTest, FormulaMemoKeyedByAssertionState) {
   const Term *F = parse("x <= 5");
-  // Standalone: satisfiable (and the verdict is cached).
-  EXPECT_EQ(Solver.checkSat(F), SmtSolver::Status::Sat);
-  EXPECT_EQ(Solver.checkSat(F), SmtSolver::Status::Sat);
+  // No assertions: satisfiable, and Sat verdicts are never memoized.
+  EXPECT_TRUE(Ctx.checkFormula(F).isSat());
+  EXPECT_TRUE(Ctx.checkFormula(F).isSat());
+  EXPECT_EQ(Ctx.stats().MemoHits, 0u);
 
-  // Assert contradicting state into the solver's context: the cache must
-  // not replay the stale standalone verdict.
-  Solver.context().assertTerm(parse("x >= 10"));
-  EXPECT_EQ(Solver.checkSat(F), SmtSolver::Status::Unsat);
-  EXPECT_TRUE(Solver.isUnsat(F));
+  // Contradicting asserted state: the memo is keyed by the assertion
+  // fingerprint, so nothing decided without it can answer here.
+  Ctx.assertTerm(parse("x >= 10"));
+  EXPECT_TRUE(Ctx.checkFormula(F).isUnsat());
+  EXPECT_EQ(Ctx.stats().MemoHits, 0u);
 
-  // The unsat verdict under that state is itself memoized.
-  uint64_t Before = Solver.numCacheHits();
-  EXPECT_TRUE(Solver.isUnsat(F));
-  EXPECT_EQ(Solver.numCacheHits(), Before + 1);
+  // The Unsat verdict under that state is itself memoized.
+  EXPECT_TRUE(Ctx.checkFormula(F).isUnsat());
+  EXPECT_EQ(Ctx.stats().MemoHits, 1u);
+  EXPECT_EQ(Ctx.stats().FormulaChecks, 4u);
 }
 
-TEST(SmtSolverFacadeTest, EntailmentUsesContextState) {
-  TermManager TM;
-  SortEnv Env;
-  SmtSolver Solver(TM);
-  auto parse = [&](const char *Text) {
-    auto F = parseFormula(TM, Text, Env);
-    EXPECT_TRUE(F.hasValue());
-    return F.get();
+TEST_F(SolverContextTest, FormulaEntailmentUsesAssertionState) {
+  // A entails B iff A && !B is unsat under the asserted state.
+  auto entails = [&](const char *A, const char *B) {
+    return Ctx.checkFormula(TM.mkAnd(parse(A), TM.mkNot(parse(B))))
+        .isUnsat();
   };
-  EXPECT_FALSE(Solver.entails(parse("x >= 1"), parse("x >= 3")));
-  Solver.context().push();
-  Solver.context().assertTerm(parse("x >= 7"));
-  EXPECT_TRUE(Solver.entails(parse("x >= 1"), parse("x >= 3")));
-  Solver.context().pop();
-  EXPECT_FALSE(Solver.entails(parse("x >= 1"), parse("x >= 3")));
+  EXPECT_FALSE(entails("x >= 1", "x >= 3"));
+  Ctx.push();
+  Ctx.assertTerm(parse("x >= 7"));
+  EXPECT_TRUE(entails("x >= 1", "x >= 3"));
+  Ctx.pop();
+  // Popping restores the fingerprint: the memoized Unsat stays unseen.
+  EXPECT_FALSE(entails("x >= 1", "x >= 3"));
+  EXPECT_EQ(Ctx.scopeDepth(), 0u);
+  EXPECT_FALSE(Ctx.hasAssertions());
 }
 
 // --- Learned-clause garbage collection ---------------------------------------
@@ -320,7 +311,7 @@ TEST_F(SolverContextTest, PurgeDisabledKeepsEveryClause) {
   EXPECT_EQ(Ctx.stats().ClausesPurged, 0u);
 }
 
-// --- Differential check against the one-shot façade -------------------------
+// --- Differential check against whole-formula checks on fresh contexts -------
 
 TEST(SolverContextDifferentialTest, MatchesOneShotVerdicts) {
   TermManager TM;
@@ -342,10 +333,9 @@ TEST(SolverContextDifferentialTest, MatchesOneShotVerdicts) {
     smt::SolverContext Ctx(TM);
     Ctx.assertTerm(parse(P));
     for (const char *Q : Queries) {
-      SmtSolver OneShot(TM);
+      smt::SolverContext OneShot(TM);
       bool Expected =
-          OneShot.checkSat(TM.mkAnd(parse(P), parse(Q))) ==
-          SmtSolver::Status::Sat;
+          OneShot.checkFormula(TM.mkAnd(parse(P), parse(Q))).isSat();
       EXPECT_EQ(Ctx.checkSat({parse(Q)}).isSat(), Expected)
           << P << "  |-?  " << Q;
     }

@@ -3,11 +3,21 @@
 // Part of the path-invariants reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
+///
+/// \file
+/// The SMT layer end to end through its whole-formula entry point,
+/// smt::SolverContext::checkFormula: linear integer arithmetic with
+/// branch-and-bound and disequality splits, boolean structure, models,
+/// uninterpreted functions, array reads, array-write elimination, and the
+/// Unsat memo (hits counted, interrupted checks never memoized).
+///
+//===----------------------------------------------------------------------===//
 
+#include "core/Resource.h"
 #include "logic/FormulaParser.h"
 #include "logic/TermPrinter.h"
 #include "smt/ArrayElim.h"
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 
 #include <gtest/gtest.h>
 
@@ -24,12 +34,17 @@ protected:
   }
 
   bool isSat(const char *Text) {
-    return Solver.checkSat(parse(Text)) == SmtSolver::Status::Sat;
+    return Solver.checkFormula(parse(Text)).isSat();
+  }
+
+  /// \p A entails \p B: A && !B is unsat.
+  bool entails(const Term *A, const Term *B) {
+    return Solver.checkFormula(TM.mkAnd(A, TM.mkNot(B))).isUnsat();
   }
 
   TermManager TM;
   SortEnv Env;
-  SmtSolver Solver{TM};
+  smt::SolverContext Solver{TM};
 };
 
 // --- Pure linear arithmetic ------------------------------------------------
@@ -84,12 +99,13 @@ TEST_F(SmtTest, BooleanStructure) {
 
 TEST_F(SmtTest, ModelIsAvailable) {
   const Term *F = parse("x + y = 10 && x - y = 4");
-  ASSERT_EQ(Solver.checkSat(F), SmtSolver::Status::Sat);
-  const auto &Model = Solver.model();
-  Rational X = Model.at(TM.mkVar("x", Sort::Int));
-  Rational Y = Model.at(TM.mkVar("y", Sort::Int));
-  EXPECT_EQ(X + Y, Rational(10));
-  EXPECT_EQ(X - Y, Rational(4));
+  smt::CheckResult R = Solver.checkFormula(F);
+  ASSERT_TRUE(R.isSat());
+  std::optional<Rational> X = R.model().value(TM.mkVar("x", Sort::Int));
+  std::optional<Rational> Y = R.model().value(TM.mkVar("y", Sort::Int));
+  ASSERT_TRUE(X && Y);
+  EXPECT_EQ(*X + *Y, Rational(10));
+  EXPECT_EQ(*X - *Y, Rational(4));
 }
 
 // --- Uninterpreted functions ------------------------------------------------
@@ -130,7 +146,7 @@ TEST_F(SmtTest, InitcheckFirstCellFact) {
   SortEnv E;
   auto A0 = parseFormula(TM, "a1[0] = 0 && a1[i] != 0 && i = 0", E);
   ASSERT_TRUE(A0.hasValue());
-  EXPECT_EQ(Solver.checkSat(A0.get()), SmtSolver::Status::Unsat);
+  EXPECT_TRUE(Solver.checkFormula(A0.get()).isUnsat());
 }
 
 TEST_F(SmtTest, StoreEliminationReadSameIndex) {
@@ -141,7 +157,7 @@ TEST_F(SmtTest, StoreEliminationReadSameIndex) {
   const Term *Def =
       TM.mkEq(B, TM.mkStore(A, I, TM.mkIntConst(5)));
   const Term *Bad = TM.mkNe(TM.mkSelect(B, I), TM.mkIntConst(5));
-  EXPECT_EQ(Solver.checkSat(TM.mkAnd(Def, Bad)), SmtSolver::Status::Unsat);
+  EXPECT_TRUE(Solver.checkFormula(TM.mkAnd(Def, Bad)).isUnsat());
 }
 
 TEST_F(SmtTest, StoreEliminationReadOtherIndex) {
@@ -154,11 +170,11 @@ TEST_F(SmtTest, StoreEliminationReadOtherIndex) {
   const Term *F = TM.mkAnd(
       {Def, TM.mkNe(J, I),
        TM.mkNe(TM.mkSelect(B, J), TM.mkSelect(A, J))});
-  EXPECT_EQ(Solver.checkSat(F), SmtSolver::Status::Unsat);
+  EXPECT_TRUE(Solver.checkFormula(F).isUnsat());
   // Without j != i it is satisfiable (j may alias i).
   const Term *G = TM.mkAnd(
       {Def, TM.mkNe(TM.mkSelect(B, J), TM.mkSelect(A, J))});
-  EXPECT_EQ(Solver.checkSat(G), SmtSolver::Status::Sat);
+  EXPECT_TRUE(Solver.checkFormula(G).isSat());
 }
 
 TEST_F(SmtTest, StoreChain) {
@@ -173,14 +189,16 @@ TEST_F(SmtTest, StoreChain) {
       TM.mkEq(B, TM.mkStore(A, I, TM.mkIntConst(1))),
       TM.mkEq(C, TM.mkStore(B, J, TM.mkIntConst(2))));
   const Term *Sep = TM.mkNe(I, J);
-  EXPECT_EQ(Solver.checkSat(TM.mkAnd(
-                {Defs, Sep,
-                 TM.mkNe(TM.mkSelect(C, I), TM.mkIntConst(1))})),
-            SmtSolver::Status::Unsat);
-  EXPECT_EQ(Solver.checkSat(TM.mkAnd(
-                {Defs, Sep,
-                 TM.mkNe(TM.mkSelect(C, J), TM.mkIntConst(2))})),
-            SmtSolver::Status::Unsat);
+  EXPECT_TRUE(Solver
+                  .checkFormula(TM.mkAnd(
+                      {Defs, Sep,
+                       TM.mkNe(TM.mkSelect(C, I), TM.mkIntConst(1))}))
+                  .isUnsat());
+  EXPECT_TRUE(Solver
+                  .checkFormula(TM.mkAnd(
+                      {Defs, Sep,
+                       TM.mkNe(TM.mkSelect(C, J), TM.mkIntConst(2))}))
+                  .isUnsat());
 }
 
 TEST_F(SmtTest, ArrayAliasSubstitution) {
@@ -190,26 +208,56 @@ TEST_F(SmtTest, ArrayAliasSubstitution) {
   const Term *I = TM.mkVar("i", Sort::Int);
   const Term *F = TM.mkAnd(
       TM.mkEq(B, A), TM.mkNe(TM.mkSelect(B, I), TM.mkSelect(A, I)));
-  EXPECT_EQ(Solver.checkSat(F), SmtSolver::Status::Unsat);
+  EXPECT_TRUE(Solver.checkFormula(F).isUnsat());
 }
 
 // --- Entailment (the predicate-abstraction workhorse) ------------------------
 
 TEST_F(SmtTest, Entailment) {
-  EXPECT_TRUE(Solver.entails(parse("x = 2"), parse("x >= 1")));
-  EXPECT_FALSE(Solver.entails(parse("x >= 1"), parse("x = 2")));
-  EXPECT_TRUE(Solver.entails(parse("a + b = 3*i && i = n"),
-                             parse("a + b = 3*n")));
-  EXPECT_TRUE(Solver.entails(parse("false"), parse("x = 1")));
-  EXPECT_TRUE(Solver.entails(parse("x = 1"), parse("true")));
+  EXPECT_TRUE(entails(parse("x = 2"), parse("x >= 1")));
+  EXPECT_FALSE(entails(parse("x >= 1"), parse("x = 2")));
+  EXPECT_TRUE(entails(parse("a + b = 3*i && i = n"), parse("a + b = 3*n")));
+  EXPECT_TRUE(entails(parse("false"), parse("x = 1")));
+  EXPECT_TRUE(entails(parse("x = 1"), parse("true")));
 }
 
-TEST_F(SmtTest, CacheCountsHits) {
+// --- The Unsat memo ---------------------------------------------------------
+
+TEST_F(SmtTest, MemoCountsHits) {
   const Term *F = parse("x <= 2 && x >= 3");
-  EXPECT_EQ(Solver.checkSat(F), SmtSolver::Status::Unsat);
-  uint64_t Before = Solver.numCacheHits();
-  EXPECT_EQ(Solver.checkSat(F), SmtSolver::Status::Unsat);
-  EXPECT_EQ(Solver.numCacheHits(), Before + 1);
+  EXPECT_TRUE(Solver.checkFormula(F).isUnsat());
+  uint64_t Before = Solver.stats().MemoHits;
+  EXPECT_TRUE(Solver.checkFormula(F).isUnsat());
+  EXPECT_EQ(Solver.stats().MemoHits, Before + 1);
+  EXPECT_EQ(Solver.stats().FormulaChecks, 2u);
+}
+
+TEST_F(SmtTest, InterruptedCheckIsNotMemoized) {
+  // The FORWARD path formula needs more than one pivot, so a one-pivot
+  // budget cuts the check short: Unknown, and nothing memoized. The same
+  // formula under a fresh controller is decided afresh (no memo hit), and
+  // only that verdict serves the next check.
+  const Term *F = parse("n0 >= 0 && i1 = 0 && a1 = 0 && b1 = 0 && i1 < n0 && "
+                        "a2 = a1 + 1 && b2 = b1 + 2 && i2 = i1 + 1 && "
+                        "i2 >= n0 && a2 + b2 != 3*n0");
+  ResourceLimits OnePivot;
+  OnePivot.Pivots = 1;
+  ResourceController Tight(OnePivot);
+  Tight.start();
+  {
+    ResourceScope Scope(Tight);
+    EXPECT_TRUE(Solver.checkFormula(F).isUnknown());
+  }
+  ASSERT_TRUE(Tight.exhausted());
+  EXPECT_EQ(Solver.stats().MemoHits, 0u);
+
+  ResourceController Fresh;
+  Fresh.start();
+  ResourceScope Scope(Fresh);
+  EXPECT_TRUE(Solver.checkFormula(F).isUnsat());
+  EXPECT_EQ(Solver.stats().MemoHits, 0u);
+  EXPECT_TRUE(Solver.checkFormula(F).isUnsat());
+  EXPECT_EQ(Solver.stats().MemoHits, 1u);
 }
 
 // --- Array write elimination pass in isolation -------------------------------

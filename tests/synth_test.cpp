@@ -11,7 +11,7 @@
 #include "logic/TermPrinter.h"
 #include "pathprog/PathProgram.h"
 #include "smt/QuantInst.h"
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 #include "synth/PathInvariants.h"
 #include "synth/TemplateHeuristics.h"
 
@@ -279,7 +279,7 @@ protected:
   }
 
   TermManager TM;
-  SmtSolver Solver{TM};
+  smt::SolverContext Solver{TM};
 };
 
 TEST_F(SynthFixture, ForwardWholeProgram) {
@@ -445,7 +445,7 @@ TEST_F(SynthFixture, LearningDifferentialFuzzSeeds) {
     auto PE = loadProgram(LocalTM, GP.Source);
     ASSERT_TRUE(PE.hasValue()) << "seed " << Seed << ": " << GP.Source;
     Program P = PE.take();
-    SmtSolver LocalSolver{LocalTM};
+    smt::SolverContext LocalSolver{LocalTM};
     SynthOptions On, Off;
     On.MaxLpChecks = Budget;
     Off.Learning = false;
@@ -453,7 +453,12 @@ TEST_F(SynthFixture, LearningDifferentialFuzzSeeds) {
     PathInvResult ROn = generatePathInvariants(P, LocalSolver, On);
     PathInvResult ROff = generatePathInvariants(P, LocalSolver, Off);
     Learned += ROn.Learn.CombosDeduped + ROn.Learn.Nogoods;
-    if (ROn.ResourceOut || ROff.ResourceOut)
+    // FailureReason is the last failed template level's reason; a level
+    // that ran out of its LP-check budget says so.
+    auto budgetTripped = [](const PathInvResult &R) {
+      return R.FailureReason == "solver budget exhausted";
+    };
+    if (budgetTripped(ROn) || budgetTripped(ROff))
       continue;
     ++Compared;
     EXPECT_EQ(ROn.Found, ROff.Found) << "seed " << Seed;

@@ -21,7 +21,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "lang/Lower.h"
-#include "smt/SmtSolver.h"
+#include "smt/SolverContext.h"
 #include "synth/InvariantMap.h"
 
 #include <fstream>
@@ -97,7 +97,7 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  pathinv::SmtSolver Solver(TM);
+  pathinv::smt::SolverContext Solver(TM);
   pathinv::InvariantCheckResult Check =
       pathinv::checkInvariantMap(P.get(), Map.get(), Solver);
   if (Check.Undecided) {
